@@ -47,10 +47,6 @@ class BenchJson
         cli::addJsonPath(parser, common_);
         cli::addSmoke(parser, common_);
         cli::addExact(parser, common_);
-        parser.optionUnsigned(
-            "--threads", "N",
-            "simulation worker threads (0 = single simulator)",
-            &threads_);
         parser.parse(argc, argv, /*allow_unknown=*/true);
     }
 
@@ -64,10 +60,6 @@ class BenchJson
 
     /** True when the binary was invoked with `--exact`. */
     bool exactStats() const { return common_.exact; }
-
-    /** `--threads N`: TestbedConfig::simThreads for every testbed
-     *  the bench builds (0 = historical single-simulator mode). */
-    unsigned threads() const { return threads_; }
 
     /** Stats mode for benches that default to streaming collection. */
     StatsMode
@@ -126,7 +118,6 @@ class BenchJson
 
     std::string bench_;
     cli::CommonOptions common_;
-    unsigned threads_ = 0;
     bool written_ = false;
     obs::Json rows_;
 };

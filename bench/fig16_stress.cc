@@ -94,10 +94,8 @@ main(int argc, char **argv)
     }
     // Streaming histograms by default (millions of samples across the
     // grid); `--exact` restores raw-sample collection.
-    for (auto &config : configs) {
+    for (auto &config : configs)
         config.statsMode = json.statsMode();
-        config.simThreads = json.threads();
-    }
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

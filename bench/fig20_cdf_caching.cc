@@ -93,10 +93,8 @@ main(int argc, char **argv)
         // Streaming histograms by default (the aggregated CDF is
         // within the histogram's 0.4% error); `--exact` restores
         // raw-sample collection.
-        for (auto &config : configs) {
+        for (auto &config : configs)
             config.statsMode = json.statsMode();
-            config.simThreads = json.threads();
-        }
         auto results =
             testbed::runSweep(std::move(configs), warmup, measure);
 

@@ -13,7 +13,7 @@
  *
  * Everything is simulated-deterministic: rows are keyed by scenario
  * name (bench_diff matches on it) and the smoke grid is pinned as a
- * golden, including --threads 1/4 byte-identity.
+ * golden.
  */
 
 #include "bench_util.h"
@@ -54,10 +54,7 @@ main(int argc, char **argv)
         const fault::Scenario *scenario = fault::findScenario(name);
         if (scenario == nullptr)
             continue;
-        fault::ScenarioRunOptions opts;
-        opts.simThreads = json.threads();
-        fault::InvariantReport report =
-            fault::runScenario(*scenario, opts);
+        fault::InvariantReport report = fault::runScenario(*scenario);
         violations += static_cast<int>(report.violations().size());
 
         auto count = [&](const char *counter) {

@@ -112,10 +112,8 @@ main(int argc, char **argv)
             configs.push_back(
                 pointConfig(shards, clients_per_shard, theta, gap));
     }
-    for (auto &config : configs) {
+    for (auto &config : configs)
         config.statsMode = json.statsMode();
-        config.simThreads = json.threads();
-    }
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

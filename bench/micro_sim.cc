@@ -15,11 +15,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <deque>
 
 #include "bench_util.h"
 #include "net/packet.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "testbed/sweep.h"
 
@@ -154,73 +152,6 @@ benchPacketChurn(std::uint64_t iterations)
     return static_cast<double>(iterations * 2) / dt;
 }
 
-/**
- * Strong-scaling benchmark for the partitioned engine: a fixed ring
- * of 32 partitions (>= the device/host counts of the biggest figure
- * topologies), each with self-scheduling actors, every 16th firing
- * shipping a message to the next partition through a 1 us-lookahead
- * LinkChannel. The same fixed simulated horizon runs under 1/2/4/8
- * workers; the event count is identical for every worker count (the
- * engine's determinism guarantee), so events/s isolates the
- * synchronization cost. @p events_out returns that count so the
- * caller can assert it.
- */
-double
-benchEngineScaling(unsigned workers, Tick until, std::uint64_t *events_out)
-{
-    constexpr unsigned kPartitions = 32;
-    constexpr int kActorsPerPartition = 8;
-    constexpr TickDelta kLookahead = 1000; // 1 us in ticks
-
-    sim::Engine engine(workers);
-    std::vector<sim::Simulator *> sims;
-    for (unsigned p = 0; p < kPartitions; p++)
-        sims.push_back(&engine.addPartition());
-    std::vector<sim::LinkChannel *> next;
-    for (unsigned p = 0; p < kPartitions; p++)
-        next.push_back(
-            &engine.connect(*sims[(p + 1) % kPartitions], kLookahead));
-
-    struct Actor
-    {
-        sim::Simulator *sim;
-        sim::LinkChannel *channel;
-        DelayRng rng;
-        std::uint64_t fires = 0;
-
-        void
-        fire()
-        {
-            fires++;
-            if (fires % 16 == 0) {
-                Tick now = sim->now();
-                channel->push(now + kLookahead, now, []() {});
-            }
-            sim->schedule(rng.next(), [this]() { fire(); });
-        }
-    };
-
-    std::deque<Actor> actors; // stable addresses for the this-captures
-    for (unsigned p = 0; p < kPartitions; p++) {
-        for (int a = 0; a < kActorsPerPartition; a++) {
-            actors.push_back(Actor{sims[p], next[p],
-                                   DelayRng{0x9e3779b97f4a7c15ull ^
-                                            (p * 64 + a)},
-                                   0});
-            Actor &actor = actors.back();
-            sims[p]->schedule(actor.rng.next(),
-                              [&actor]() { actor.fire(); });
-        }
-    }
-
-    auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t fired = engine.run(until);
-    double dt = secondsSince(t0);
-    if (events_out != nullptr)
-        *events_out = fired;
-    return static_cast<double>(fired) / dt;
-}
-
 /** A miniature two-config sweep so bench-smoke exercises the harness. */
 void
 smokeSweep()
@@ -271,40 +202,6 @@ main(int argc, char **argv)
     json.beginRow();
     json.field("metric", std::string("packet_churn_packets_per_sec"));
     json.field("value", churn);
-
-    // Strong scaling: same topology and horizon, 1/2/4/8 workers.
-    const Tick horizon = json.smoke() ? milliseconds(2)
-                                      : milliseconds(40);
-    std::printf("\nengine strong scaling (32 partitions, fixed "
-                "horizon):\n");
-    double base_eps = 0;
-    std::uint64_t base_events = 0;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        std::uint64_t events = 0;
-        double eps = benchEngineScaling(threads, horizon, &events);
-        if (threads == 1) {
-            base_eps = eps;
-            base_events = events;
-        } else if (events != base_events) {
-            std::fprintf(stderr,
-                         "engine scaling: %u-thread run executed %llu "
-                         "events, 1-thread ran %llu (determinism bug)\n",
-                         threads,
-                         static_cast<unsigned long long>(events),
-                         static_cast<unsigned long long>(base_events));
-            return 1;
-        }
-        double speedup = base_eps > 0 ? eps / base_eps : 0;
-        std::printf("  %u thread(s)         : %12.0f events/s "
-                    "(%.2fx vs 1)\n",
-                    threads, eps, speedup);
-        json.beginRow();
-        json.field("metric",
-                   std::string("engine_scaling_events_per_sec"));
-        json.field("threads", static_cast<std::uint64_t>(threads));
-        json.field("events_per_sec", eps);
-        json.field("speedup_vs_1", speedup);
-    }
 
     if (json.smoke())
         smokeSweep();

@@ -110,14 +110,6 @@ class ThroughputMeter
     /** Count one completed operation. */
     void complete() { completed_++; }
 
-    /**
-     * Fold @p n completions counted elsewhere into this window — how
-     * the testbed merges per-driver shard counts after a partitioned
-     * run (the shards count during the window; the shared meter owns
-     * the window boundaries).
-     */
-    void addCompleted(std::uint64_t n) { completed_ += n; }
-
     /** Close the window at @p now. */
     void stop(Tick now);
 

@@ -22,12 +22,11 @@
  *  4. when verification passes, the shard returns to Healthy and
  *     parked client traffic flushes via the retry timers.
  *
- * poll() must be called between simulation windows (the coordinator
- * thread, while no partition event is executing): it reads device
- * state across partitions, which is only quiescent there. The state
- * machine survives arbitrary additional crashes mid-repair — a crash
- * of the source or target mid-stream just re-enters step 1/2 on the
- * next poll.
+ * poll() runs between simulation windows, outside any event, so it
+ * sees every device's log at a quiescent point. The state machine
+ * survives arbitrary additional crashes mid-repair — a crash of the
+ * source or target mid-stream just re-enters step 1/2 on the next
+ * poll.
  */
 
 #ifndef PMNET_FAULT_CHAIN_REPAIR_H

@@ -1,6 +1,5 @@
 #include "fault/fault_plan.h"
 
-#include <atomic>
 #include <set>
 
 #include "common/key.h"
@@ -161,40 +160,44 @@ FaultRunner::transmitEndpoint(const FaultAction &action, net::Link &link,
 void
 FaultRunner::scheduleAction(const FaultAction &action)
 {
-    // Every event is routed to the partition owning the touched state
-    // (link direction, host, device); in single-simulator mode these
-    // all resolve to the one shared simulator. Called from the
-    // coordinating thread before the run, so scheduling directly on
-    // foreign partitions is safe.
+    sim::Simulator &sim = testbed_->simulator();
     Tick base_tick = testbed_->now();
     switch (action.kind) {
       case FaultAction::Kind::LossBurst: {
         net::Link *link = &resolveLink(action);
+        double rate = action.lossRate;
         double base = config_.testbed.link.lossRate;
-        link->scheduleLossRateAt(base_tick + action.at, action.lossRate);
-        link->scheduleLossRateAt(base_tick + action.at + action.duration,
-                                 base);
+        sim.scheduleAt(base_tick + action.at,
+                       [link, rate] { link->setLossRate(rate); });
+        sim.scheduleAt(base_tick + action.at + action.duration,
+                       [link, base] { link->setLossRate(base); });
         break;
       }
       case FaultAction::Kind::DropNext: {
         net::Link *link = &resolveLink(action);
         net::Node *from =
             &transmitEndpoint(action, *link, action.towardServer);
-        link->scheduleDropNextAt(base_tick + action.at, *from,
-                                 action.count);
+        int count = action.count;
+        sim.scheduleAt(base_tick + action.at, [link, from, count] {
+            link->dropNext(*from, count);
+        });
         break;
       }
       case FaultAction::Kind::Impair: {
         net::Link *link = &resolveLink(action);
         auto arm = [&](bool toward_server) {
-            net::Node &from =
-                transmitEndpoint(action, *link, toward_server);
-            link->scheduleImpairmentAt(base_tick + action.at, from,
-                                       action.impair);
+            net::Node *from =
+                &transmitEndpoint(action, *link, toward_server);
+            sim.scheduleAt(base_tick + action.at,
+                           [link, from, imp = action.impair] {
+                               link->setImpairment(*from, imp);
+                           });
             if (action.duration > 0)
-                link->scheduleImpairmentAt(
-                    base_tick + action.at + action.duration, from,
-                    net::Impairment{});
+                sim.scheduleAt(
+                    base_tick + action.at + action.duration,
+                    [link, from] {
+                        link->setImpairment(*from, net::Impairment{});
+                    });
         };
         if (action.dir != FaultAction::Dir::TowardClient)
             arm(/*toward_server=*/true);
@@ -203,31 +206,29 @@ FaultRunner::scheduleAction(const FaultAction &action)
         break;
       }
       case FaultAction::Kind::ServerPowerCut: {
-        sim::Simulator &ssim = testbed_->serverHost().simulator();
-        ssim.scheduleAt(base_tick + action.at,
-                        [this] { testbed_->serverHost().powerFail(); });
-        ssim.scheduleAt(base_tick + action.at + action.duration, [this] {
+        sim.scheduleAt(base_tick + action.at,
+                       [this] { testbed_->serverHost().powerFail(); });
+        sim.scheduleAt(base_tick + action.at + action.duration, [this] {
             testbed_->serverHost().powerRestore();
         });
         break;
       }
       case FaultAction::Kind::DevicePowerCut: {
         std::size_t idx = static_cast<std::size_t>(action.index);
-        sim::Simulator &dsim = testbed_->device(idx).simulator();
-        dsim.scheduleAt(base_tick + action.at, [this, idx] {
+        sim.scheduleAt(base_tick + action.at, [this, idx] {
             testbed_->device(idx).powerFail();
         });
-        dsim.scheduleAt(base_tick + action.at + action.duration,
-                        [this, idx] {
-                            testbed_->device(idx).powerRestore();
-                        });
+        sim.scheduleAt(base_tick + action.at + action.duration,
+                       [this, idx] {
+                           testbed_->device(idx).powerRestore();
+                       });
         break;
       }
       case FaultAction::Kind::DeviceReplace: {
         std::size_t idx = static_cast<std::size_t>(action.index);
-        testbed_->device(idx).simulator().scheduleAt(
-            base_tick + action.at,
-            [this, idx] { testbed_->device(idx).replaceUnit(); });
+        sim.scheduleAt(base_tick + action.at, [this, idx] {
+            testbed_->device(idx).replaceUnit();
+        });
         break;
       }
       case FaultAction::Kind::ChainRepair: {
@@ -242,23 +243,22 @@ FaultRunner::scheduleAction(const FaultAction &action)
             shard++;
         }
         bool replace = action.replace;
-        sim::Simulator &dsim = testbed_->device(idx).simulator();
-        dsim.scheduleAt(base_tick + action.at, [this, idx, shard] {
+        sim.scheduleAt(base_tick + action.at, [this, idx, shard] {
             testbed_->device(idx).powerFail();
             testbed_->shardMap()->setHealth(
                 shard, pmnet::ShardMap::Health::Failed);
         });
-        dsim.scheduleAt(base_tick + action.at + action.duration,
-                        [this, idx, shard, local, replace] {
-                            if (replace)
-                                testbed_->device(idx).replaceUnit();
-                            else
-                                testbed_->device(idx).powerRestore();
-                            testbed_->shardMap()->setHealth(
-                                shard,
-                                pmnet::ShardMap::Health::Resilvering);
-                            repairCoord_->beginRepair(shard, local);
-                        });
+        sim.scheduleAt(base_tick + action.at + action.duration,
+                       [this, idx, shard, local, replace] {
+                           if (replace)
+                               testbed_->device(idx).replaceUnit();
+                           else
+                               testbed_->device(idx).powerRestore();
+                           testbed_->shardMap()->setHealth(
+                               shard,
+                               pmnet::ShardMap::Health::Resilvering);
+                           repairCoord_->beginRepair(shard, local);
+                       });
         break;
       }
     }
@@ -267,11 +267,9 @@ FaultRunner::scheduleAction(const FaultAction &action)
 void
 FaultRunner::issueUpdates()
 {
+    sim::Simulator &sim = testbed_->simulator();
     Tick base_tick = testbed_->now();
     for (std::size_t c = 0; c < testbed_->clientCount(); c++) {
-        // Each client's script runs on its own host's partition (the
-        // shared simulator when simThreads == 0).
-        sim::Simulator &sim = testbed_->clientHost(c).simulator();
         // Small per-client stagger so clients never tick in lockstep.
         TickDelta stagger = microseconds(1) * static_cast<TickDelta>(c);
         for (int i = 0; i < config_.updatesPerClient; i++) {
@@ -315,9 +313,6 @@ FaultRunner::drain(const char *phase)
            (outstandingTotal() > 0 || !repairCoord_->idle())) {
         target += config_.drainWindow;
         testbed_->runUntil(target);
-        // Between windows no partition event is executing — the one
-        // place the repair coordinator may inspect cross-partition
-        // device state and (re)start resilver streams.
         repairCoord_->poll();
         rounds++;
     }
@@ -538,9 +533,7 @@ FaultRunner::auditReadsEndToEnd()
                      ? config_.keysPerSession
                      : config_.updatesPerClient;
     std::size_t pending = 0;
-    // Read completions fire on client partitions: the shared tally is
-    // atomic and the report takes the runner's mutex.
-    std::atomic<std::size_t> completed{0};
+    std::size_t completed = 0;
     auto *done = &completed;
     for (std::size_t c = 0; c < testbed_->clientCount(); c++) {
         int session = static_cast<int>(c) + 1;
@@ -553,20 +546,17 @@ FaultRunner::auditReadsEndToEnd()
             Tick at = base_tick + microseconds(10) *
                                       static_cast<TickDelta>(pending + 1);
             pending++;
-            testbed_->clientHost(c).simulator().scheduleAt(
+            testbed_->simulator().scheduleAt(
                 at, [this, c, key, expected, done] {
                     apps::Command cmd{{"GET", key}};
                     testbed_->clientLib(c).bypass(
                         apps::encodeCommand(cmd), hashKey(key),
                         [this, key, expected, done](const Bytes &wire) {
-                            done->fetch_add(1,
-                                            std::memory_order_relaxed);
+                            (*done)++;
                             auto resp = apps::decodeResponse(wire);
                             if (!resp ||
                                 resp->status != apps::RespStatus::Ok ||
                                 resp->value != expected) {
-                                std::lock_guard<std::mutex> lock(
-                                    reportMutex_);
                                 report_.addViolation(
                                     "P3-staleness",
                                     "read of " + key + " returned \"" +
@@ -583,18 +573,17 @@ FaultRunner::auditReadsEndToEnd()
     int rounds = 0;
     Tick target = testbed_->now();
     while (rounds < config_.maxDrainRounds &&
-           (completed.load() < pending || outstandingTotal() > 0)) {
+           (completed < pending || outstandingTotal() > 0)) {
         target += config_.drainWindow;
         testbed_->runUntil(target);
         rounds++;
     }
-    if (completed.load() < pending)
+    if (completed < pending)
         report_.addViolation("P3-staleness",
                              "read audit: " +
-                                 std::to_string(pending -
-                                                completed.load()) +
+                                 std::to_string(pending - completed) +
                                  " read(s) never completed");
-    report_.setCounter("reads-audited", completed.load());
+    report_.setCounter("reads-audited", completed);
 }
 
 void
@@ -715,7 +704,6 @@ FaultRunner::run(const FaultPlan &plan)
         std::size_t idx = static_cast<std::size_t>(session) - 1;
         if (idx < sessions_.size()) {
             unsigned shard = shardOfKey(cmd.args[1]);
-            std::lock_guard<std::mutex> lock(tapMutex_);
             sessions_[idx].appliedByShard[shard].push_back(op);
         }
     });

@@ -30,7 +30,6 @@
 #define PMNET_FAULT_FAULT_PLAN_H
 
 #include <memory>
-#include <mutex>
 
 #include "fault/chain_repair.h"
 #include "fault/invariants.h"
@@ -190,23 +189,6 @@ class FaultRunner
     std::unique_ptr<testbed::Testbed> testbed_;
     std::unique_ptr<ChainRepairCoordinator> repairCoord_;
     InvariantReport report_;
-    /**
-     * Guards report_ inside simulation callbacks: with simThreads >= 1
-     * the read-audit completions fire on client partitions, which run
-     * on different workers. Checker phases that run between windows
-     * (coordinator only) need no lock. Violation *order* across
-     * partitions is scheduling-dependent, so cross-thread determinism
-     * comparisons must use clean plans (count + counters are exact
-     * either way).
-     */
-    std::mutex reportMutex_;
-    /**
-     * Guards the handler-tap bookkeeping: with shards > 1 one
-     * session's updates apply on several server partitions, which can
-     * run on different workers. Per-shard apply order is preserved
-     * (each shard's taps are sequential on its own partition).
-     */
-    std::mutex tapMutex_;
     std::vector<SessionTrack> sessions_;
     bool ran_ = false;
 };

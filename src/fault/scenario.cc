@@ -311,7 +311,6 @@ scenarioRunConfig(const Scenario &scenario,
     config.testbed.cacheEnabled = scenario.cache;
     config.testbed.storeKind = opts.kind;
     config.testbed.seed = opts.seed;
-    config.testbed.simThreads = opts.simThreads;
     config.updatesPerClient = scenario.updatesPerClient;
     config.keysPerSession = scenario.keysPerSession;
     config.auditReads = opts.auditReads;

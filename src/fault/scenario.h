@@ -27,7 +27,7 @@
  * actions and hands it to the existing FaultRunner, so every row is
  * swept against the P1–P3 invariant checker, and — everything being
  * driven by the links' deterministic RNGs — a row's InvariantReport
- * text is byte-identical across simThreads 0/1/N.
+ * text is byte-identical across runs with the same seed.
  */
 
 #ifndef PMNET_FAULT_SCENARIO_H
@@ -91,13 +91,12 @@ const Scenario *findScenario(const std::string &name);
 struct ScenarioRunOptions
 {
     kv::KvKind kind = kv::KvKind::Hashmap;
-    unsigned simThreads = 0;
     std::uint64_t seed = 42;
     bool auditReads = true;
 };
 
 /** The FaultRunConfig a scenario runs under (workload knobs from the
- *  row, backend/threads/seed from @p opts). */
+ *  row, backend/seed from @p opts). */
 FaultRunConfig scenarioRunConfig(const Scenario &scenario,
                                  const ScenarioRunOptions &opts);
 

@@ -22,6 +22,12 @@
  * runs the ServerLib power-restore path, which re-roots the command
  * store and polls the device with RecoveryPoll — so every acked-but-
  * unapplied update is replayed before the daemon serves traffic (P1).
+ *
+ * Construct, poll and destroy a GatewayServer on one thread (or
+ * destroy it after that thread is joined). The recovery path creates
+ * packets from the constructing thread's net::PacketPool, and a pool
+ * is single-threaded: polling on another thread releases those
+ * packets into a pool its owner is still using.
  */
 
 #ifndef PMNET_GATEWAY_SERVER_H

@@ -8,8 +8,7 @@
  * CRC-reject path at the receiver), asymmetric bandwidth throttling,
  * and bursty Gilbert–Elliott two-state loss. The Link interprets the
  * value inside transmit() using its own per-direction deterministic
- * RNG, so a run with N engine workers stays byte-identical to the
- * single-threaded run (the determinism contract of DESIGN.md §12).
+ * RNG, so a fixed seed replays the same channel byte for byte.
  *
  * The value doubles as the unit of the scenario DSL's grammar: a
  * token stream like "delay 3us jitter 2us dup 10% corrupt 1%

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/parallel.h"
 
 namespace pmnet::net {
 
@@ -46,7 +45,7 @@ Node::powerRestore()
 }
 
 Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
-           Node &end_b, LinkConfig config, sim::Engine *engine)
+           Node &end_b, LinkConfig config)
     : SimObject(simulator, std::move(object_name)), config_(config),
       endA_(&end_a), endB_(&end_b)
 {
@@ -57,12 +56,10 @@ Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
 
     dirs_[0].to = endB_; // A -> B
     dirs_[0].toPort = portOnB_;
-    dirs_[0].sim = &end_a.simulator();
     dirs_[1].to = endA_; // B -> A
     dirs_[1].toPort = portOnA_;
-    dirs_[1].sim = &end_b.simulator();
-    // One loss stream per direction so each is partition-owned; the
-    // A->B stream keeps the historical seed.
+    // One loss stream per direction; the A->B stream keeps the
+    // historical seed.
     dirs_[0].lossRate = config_.lossRate;
     dirs_[1].lossRate = config_.lossRate;
     dirs_[0].lossRng = Rng(config_.lossSeed);
@@ -72,20 +69,6 @@ Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
     dirs_[0].impairRng = Rng(config_.lossSeed ^ 0x494D5041ull);
     dirs_[1].impairRng =
         Rng(config_.lossSeed ^ 0x494D5041ull ^ 0x9E3779B97F4A7C15ull);
-
-    if (dirs_[0].sim != dirs_[1].sim) {
-        if (engine == nullptr)
-            fatal("%s: endpoints on different partitions but no engine",
-                  name().c_str());
-        if (config_.propagation <= 0)
-            fatal("%s: cross-partition links need positive propagation "
-                  "latency (lookahead bound)",
-                  name().c_str());
-        dirs_[0].channel =
-            &engine->connect(end_b.simulator(), config_.propagation);
-        dirs_[1].channel =
-            &engine->connect(end_a.simulator(), config_.propagation);
-    }
 }
 
 Link::Direction &
@@ -128,33 +111,9 @@ Link::dropNext(const Node &from, int n)
 }
 
 void
-Link::scheduleLossRateAt(Tick when, double loss_rate)
-{
-    for (Direction &dir : dirs_) {
-        dir.sim->scheduleAt(when, [&dir, loss_rate]() {
-            dir.lossRate = loss_rate;
-        });
-    }
-}
-
-void
-Link::scheduleDropNextAt(Tick when, const Node &from, int n)
-{
-    Direction &dir = directionFrom(from);
-    dir.sim->scheduleAt(when, [&dir, n]() { dir.dropNext += n; });
-}
-
-void
 Link::corruptNext(const Node &from, int n)
 {
     directionFrom(from).corruptNext += n;
-}
-
-void
-Link::scheduleCorruptNextAt(Tick when, const Node &from, int n)
-{
-    Direction &dir = directionFrom(from);
-    dir.sim->scheduleAt(when, [&dir, n]() { dir.corruptNext += n; });
 }
 
 void
@@ -163,16 +122,6 @@ Link::setImpairment(const Node &from, const Impairment &imp)
     Direction &dir = directionFrom(from);
     dir.impair = imp;
     dir.geState = 0;
-}
-
-void
-Link::scheduleImpairmentAt(Tick when, const Node &from, Impairment imp)
-{
-    Direction &dir = directionFrom(from);
-    dir.sim->scheduleAt(when, [&dir, imp]() {
-        dir.impair = imp;
-        dir.geState = 0;
-    });
 }
 
 bool
@@ -234,8 +183,7 @@ Link::transmit(const Node &from, PacketPtr pkt)
         return false;
     }
 
-    Tick now = dir.sim->now();
-    Tick depart = std::max(now, dir.lineFreeAt);
+    Tick depart = std::max(now(), dir.lineFreeAt);
     double gbps = dir.impair.bandwidthGbps > 0.0
                       ? dir.impair.bandwidthGbps
                       : config_.gbps;
@@ -243,10 +191,7 @@ Link::transmit(const Node &from, PacketPtr pkt)
     dir.lineFreeAt = depart + serialize;
     dir.queuedBytes += size;
 
-    // Post-serialization latency impairments only ever *add* delay,
-    // so a cross-partition arrival still respects the channel's
-    // propagation lookahead bound, and the mailbox's (arrive, sent)
-    // drain order makes overtaking deliveries deterministic.
+    // Post-serialization latency impairments only ever *add* delay.
     TickDelta extra = dir.impair.extraDelay;
     if (dir.impair.jitter > 0)
         extra += static_cast<TickDelta>(dir.impairRng.nextUInt(
@@ -260,66 +205,39 @@ Link::transmit(const Node &from, PacketPtr pkt)
         dir.duplicated++;
 
     Tick arrive = depart + serialize + config_.propagation;
-    if (dir.channel == nullptr) {
-        if (extra == 0 && !duplicate) {
-            // Clean-channel fast path, byte-identical to the
-            // pre-impairment link: one event, and a capture list
-            // small enough for the scheduler's inline small-buffer
-            // storage (no heap per hop); the destination node/port
-            // are re-read from dir on delivery.
-            dir.sim->scheduleAt(arrive, [&dir, size,
-                                         pkt = std::move(pkt)]() {
-                dir.queuedBytes -= size;
-                dir.bytesCarried += size;
-                if (dir.to->isUp())
-                    dir.to->receive(pkt, dir.toPort);
-            });
-            return true;
-        }
-        // Impaired path: wire/queue accounting keeps the un-impaired
-        // arrival tick (the line itself is done with the packet), the
-        // delivery lands `extra` later, and a duplicate follows one
-        // serialization time after the original copy.
-        dir.sim->scheduleAt(arrive, [&dir, size]() {
+    sim::Simulator &sim = simulator();
+    if (extra == 0 && !duplicate) {
+        // Clean-channel fast path, byte-identical to the
+        // pre-impairment link: one event, and a capture list small
+        // enough for the scheduler's inline small-buffer storage (no
+        // heap per hop); the destination node/port are re-read from
+        // dir on delivery.
+        sim.scheduleAt(arrive, [&dir, size, pkt = std::move(pkt)]() {
             dir.queuedBytes -= size;
             dir.bytesCarried += size;
+            if (dir.to->isUp())
+                dir.to->receive(pkt, dir.toPort);
         });
-        if (duplicate) {
-            dir.sim->scheduleAt(arrive + extra + serialize,
-                                [&dir, pkt]() {
-                                    if (dir.to->isUp())
-                                        dir.to->receive(pkt,
-                                                        dir.toPort);
-                                });
-        }
-        dir.sim->scheduleAt(arrive + extra,
-                            [&dir, pkt = std::move(pkt)]() {
-                                if (dir.to->isUp())
-                                    dir.to->receive(pkt, dir.toPort);
-                            });
         return true;
     }
-
-    // Cross-partition: the wire/queue accounting stays home (same
-    // event time as the legacy combined delivery event), while the
-    // receive side ships through the mailbox and fires on the target
-    // partition re-keyed by the send tick.
-    dir.sim->scheduleAt(arrive, [&dir, size]() {
+    // Impaired path: wire/queue accounting keeps the un-impaired
+    // arrival tick (the line itself is done with the packet), the
+    // delivery lands `extra` later, and a duplicate follows one
+    // serialization time after the original copy.
+    sim.scheduleAt(arrive, [&dir, size]() {
         dir.queuedBytes -= size;
         dir.bytesCarried += size;
     });
     if (duplicate) {
-        dir.channel->push(arrive + extra + serialize, now,
-                          [&dir, pkt]() {
-                              if (dir.to->isUp())
-                                  dir.to->receive(pkt, dir.toPort);
-                          });
+        sim.scheduleAt(arrive + extra + serialize, [&dir, pkt]() {
+            if (dir.to->isUp())
+                dir.to->receive(pkt, dir.toPort);
+        });
     }
-    dir.channel->push(arrive + extra, now,
-                      [&dir, pkt = std::move(pkt)]() {
-                          if (dir.to->isUp())
-                              dir.to->receive(pkt, dir.toPort);
-                      });
+    sim.scheduleAt(arrive + extra, [&dir, pkt = std::move(pkt)]() {
+        if (dir.to->isUp())
+            dir.to->receive(pkt, dir.toPort);
+    });
     return true;
 }
 

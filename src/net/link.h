@@ -21,11 +21,6 @@
 #include "net/impairment.h"
 #include "net/node.h"
 
-namespace pmnet::sim {
-class Engine;
-class LinkChannel;
-} // namespace pmnet::sim
-
 namespace pmnet::net {
 
 /** Static link parameters. */
@@ -44,24 +39,15 @@ struct LinkConfig
 };
 
 /**
- * A duplex link between exactly two nodes.
- *
- * Each direction's state (line occupancy, egress queue, loss process,
- * counters) is wholly owned by the *transmitting* endpoint's
- * partition, so the two directions never share mutable state. When
- * the endpoints live on different Engine partitions, delivery crosses
- * through a sim::LinkChannel mailbox bounded by the propagation
- * latency — links are exactly the lookahead edges of DESIGN.md §12.
- * The queue-release accounting stays on the transmitting partition
- * (a local event at the arrival tick), matching the single-simulator
- * event order.
+ * A duplex link between exactly two nodes. Each direction keeps its
+ * own line occupancy, egress queue, loss and impairment processes and
+ * counters, so the two directions never share mutable state.
  */
 class Link : public sim::SimObject
 {
   public:
     Link(sim::Simulator &simulator, std::string object_name,
-         Node &end_a, Node &end_b, LinkConfig config = {},
-         sim::Engine *engine = nullptr);
+         Node &end_a, Node &end_b, LinkConfig config = {});
 
     /**
      * Enqueue @p pkt for transmission away from @p from.
@@ -81,8 +67,7 @@ class Link : public sim::SimObject
      * Change the random per-packet loss probability at runtime (both
      * directions). Each direction's loss RNG keeps its stream, so a
      * plan replayed with the same seed loses exactly the same
-     * packets. Only safe while the simulation is not running — while
-     * an Engine is mid-run, use scheduleLossRateAt instead.
+     * packets.
      */
     void
     setLossRate(double loss_rate)
@@ -90,17 +75,6 @@ class Link : public sim::SimObject
         dirs_[0].lossRate = loss_rate;
         dirs_[1].lossRate = loss_rate;
     }
-
-    /**
-     * Schedule a loss-rate change at absolute tick @p when as one
-     * event per direction, each on the partition that owns it — the
-     * partition-safe form of setLossRate for scripted fault plans.
-     * Call from the coordinating thread between runs.
-     */
-    void scheduleLossRateAt(Tick when, double loss_rate);
-
-    /** Partition-safe scheduled form of dropNext. */
-    void scheduleDropNextAt(Tick when, const Node &from, int n);
 
     /**
      * Corrupt the next @p n packets transmitted away from @p from:
@@ -111,21 +85,13 @@ class Link : public sim::SimObject
      */
     void corruptNext(const Node &from, int n);
 
-    /** Partition-safe scheduled form of corruptNext. */
-    void scheduleCorruptNextAt(Tick when, const Node &from, int n);
-
     /**
      * Install an adversarial channel on the direction transmitting
      * away from @p from (DESIGN.md section 15). Replaces any previous
      * impairment; `Impairment{}` restores the clean channel. Resets
-     * the Gilbert–Elliott state to Good. Only safe while the
-     * simulation is not running — mid-run, use scheduleImpairmentAt.
+     * the Gilbert–Elliott state to Good.
      */
     void setImpairment(const Node &from, const Impairment &imp);
-
-    /** Partition-safe scheduled form of setImpairment. */
-    void scheduleImpairmentAt(Tick when, const Node &from,
-                              Impairment imp);
 
     /** Extra copies delivered by the duplication impairment. */
     std::uint64_t
@@ -177,11 +143,6 @@ class Link : public sim::SimObject
     {
         Node *to = nullptr;
         int toPort = -1;
-        /** The transmitting endpoint's simulator — every field below
-         *  is only touched by events on this partition. */
-        sim::Simulator *sim = nullptr;
-        /** Cross-partition mailbox; null when both ends share sim. */
-        sim::LinkChannel *channel = nullptr;
         Tick lineFreeAt = 0;
         std::size_t queuedBytes = 0;
         int dropNext = 0;

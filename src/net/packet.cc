@@ -1,7 +1,5 @@
 #include "net/packet.h"
 
-#include <atomic>
-#include <mutex>
 #include <vector>
 
 #include "common/crc32.h"
@@ -41,35 +39,6 @@ struct PacketPool::Impl
     bool open = true; ///< false once the PacketPool front is destroyed
 
     /**
-     * Cross-thread release support (PacketPool::enableConcurrent):
-     * when armed, every free-list / control-block-arena touch locks
-     * `m`. The flag is set before the engine's first window barrier,
-     * so every thread that later contends observes it.
-     */
-    std::atomic<bool> concurrent{false};
-    std::mutex m;
-
-    /** Scoped lock engaged only in concurrent mode. */
-    struct MaybeLock
-    {
-        std::mutex *locked = nullptr;
-
-        explicit MaybeLock(Impl *impl)
-        {
-            if (impl->concurrent.load(std::memory_order_relaxed)) {
-                locked = &impl->m;
-                locked->lock();
-            }
-        }
-
-        ~MaybeLock()
-        {
-            if (locked)
-                locked->unlock();
-        }
-    };
-
-    /**
      * Recycled shared_ptr control blocks. Every pooled packet's
      * control block has the same size (deleter + allocator layout is
      * fixed), so a single size class covers the steady state and the
@@ -90,7 +59,6 @@ struct PacketPool::Impl
     void *
     ctrlAlloc(std::size_t bytes)
     {
-        MaybeLock lock(this);
         outstandingCtrl++;
         if (ctrlBlockSize == 0)
             ctrlBlockSize = bytes;
@@ -105,28 +73,21 @@ struct PacketPool::Impl
     void
     ctrlRelease(void *block, std::size_t bytes)
     {
-        bool self_destruct = false;
-        {
-            MaybeLock lock(this);
-            outstandingCtrl--;
-            if (open && bytes == ctrlBlockSize &&
-                ctrlFree.size() < kMaxParked) {
-                ctrlFree.push_back(block);
-                return;
-            }
-            // Last straggler packet gone: self-destruct — but only
-            // after the lock is released.
-            self_destruct = !open && outstandingCtrl == 0;
+        outstandingCtrl--;
+        if (open && bytes == ctrlBlockSize &&
+            ctrlFree.size() < kMaxParked) {
+            ctrlFree.push_back(block);
+            return;
         }
         ::operator delete(block);
-        if (self_destruct)
+        // Last straggler packet gone after the pool front closed.
+        if (!open && outstandingCtrl == 0)
             delete this;
     }
 
     void
     release(Packet *pkt)
     {
-        MaybeLock lock(this);
         stats.released++;
         if (!open || free.size() >= kMaxParked ||
             pkt->payload.capacity() > kMaxKeptPayload) {
@@ -209,15 +170,10 @@ PacketPool::PacketPool() : impl_(new Impl) {}
 
 PacketPool::~PacketPool()
 {
-    bool destroy;
-    {
-        Impl::MaybeLock lock(impl_);
-        impl_->open = false;
-        destroy = impl_->outstandingCtrl == 0;
-    }
+    impl_->open = false;
     // Packets still in flight: the Impl lingers (closed) and deletes
     // itself when the last control block is returned.
-    if (destroy)
+    if (impl_->outstandingCtrl == 0)
         delete impl_;
 }
 
@@ -228,26 +184,17 @@ PacketPool::local()
     return pool;
 }
 
-void
-PacketPool::enableConcurrent()
-{
-    impl_->concurrent.store(true, std::memory_order_release);
-}
-
 MutPacketPtr
 PacketPool::acquire()
 {
     Packet *pkt;
-    {
-        Impl::MaybeLock lock(impl_);
-        if (!impl_->free.empty()) {
-            pkt = impl_->free.back();
-            impl_->free.pop_back();
-            impl_->stats.reused++;
-        } else {
-            pkt = new Packet;
-            impl_->stats.allocated++;
-        }
+    if (!impl_->free.empty()) {
+        pkt = impl_->free.back();
+        impl_->free.pop_back();
+        impl_->stats.reused++;
+    } else {
+        pkt = new Packet;
+        impl_->stats.allocated++;
     }
     return MutPacketPtr(pkt, PoolDeleter{impl_},
                         CtrlArenaAlloc<Packet>(impl_));
@@ -269,14 +216,12 @@ PacketPool::registerMetrics(obs::MetricRegistry &registry,
 std::size_t
 PacketPool::freeCount() const
 {
-    Impl::MaybeLock lock(impl_);
     return impl_->free.size();
 }
 
 void
 PacketPool::trim()
 {
-    Impl::MaybeLock lock(impl_);
     for (Packet *p : impl_->free)
         delete p;
     impl_->free.clear();

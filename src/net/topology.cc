@@ -3,36 +3,16 @@
 #include <queue>
 
 #include "common/logging.h"
-#include "sim/parallel.h"
 
 namespace pmnet::net {
-
-sim::Simulator &
-Topology::simulator()
-{
-    if (sim_ == nullptr)
-        fatal("Topology::simulator: engine-partitioned topology has no "
-              "single shared simulator");
-    return *sim_;
-}
-
-sim::Simulator &
-Topology::simForNewNode()
-{
-    if (engine_ != nullptr)
-        return engine_->addPartition();
-    return *sim_;
-}
 
 Link &
 Topology::connect(Node &a, Node &b, LinkConfig config)
 {
-    // The link's SimObject base is only a naming/diagnostic anchor;
-    // each direction carries its own partition clock.
     auto link = std::make_unique<Link>(
-        a.simulator(), formatMessage("link(%s,%s)", a.name().c_str(),
-                                     b.name().c_str()),
-        a, b, config, engine_);
+        sim_, formatMessage("link(%s,%s)", a.name().c_str(),
+                            b.name().c_str()),
+        a, b, config);
     Link &ref = *link;
     links_.push_back(std::move(link));
     return ref;

@@ -19,24 +19,13 @@
 namespace pmnet::net {
 
 /**
- * Owns the graph of nodes and links for one experiment.
- *
- * Two construction modes: bound to one Simulator (every node shares
- * it — the historical single-threaded layout), or bound to a
- * sim::Engine, in which case every node gets its *own* partition and
- * every link doubles as the lookahead-bounded channel pair between
- * its endpoints' partitions. The partition layout is a pure function
- * of the topology (one per node, in addNode order) — never of the
- * engine's worker count — which is what makes N-worker runs
- * byte-identical to 1-worker runs.
+ * Owns the graph of nodes and links for one experiment. Every node
+ * and link schedules on the one Simulator the topology is bound to.
  */
 class Topology
 {
   public:
-    explicit Topology(sim::Simulator &simulator) : sim_(&simulator) {}
-
-    /** Engine-partitioned mode: one partition per node. */
-    explicit Topology(sim::Engine &engine) : engine_(&engine) {}
+    explicit Topology(sim::Simulator &simulator) : sim_(simulator) {}
 
     /**
      * Construct and register a node. NodeId is supplied by the
@@ -50,8 +39,7 @@ class Topology
     addNode(std::string object_name, Args &&...args)
     {
         NodeId node_id = static_cast<NodeId>(nodes_.size());
-        auto node = std::make_unique<NodeT>(simForNewNode(),
-                                            std::move(object_name),
+        auto node = std::make_unique<NodeT>(sim_, std::move(object_name),
                                             node_id,
                                             std::forward<Args>(args)...);
         NodeT &ref = *node;
@@ -71,17 +59,8 @@ class Topology
     std::size_t nodeCount() const { return nodes_.size(); }
     Node &node(NodeId node_id) const;
 
-    /** The shared simulator. @pre single-simulator mode. */
-    sim::Simulator &simulator();
-
-    /** The owning engine; null in single-simulator mode. */
-    sim::Engine *engine() const { return engine_; }
-
   private:
-    sim::Simulator &simForNewNode();
-
-    sim::Simulator *sim_ = nullptr;
-    sim::Engine *engine_ = nullptr;
+    sim::Simulator &sim_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<Link>> links_;
 };

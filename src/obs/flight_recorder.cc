@@ -189,7 +189,6 @@ FlightRecorder::begin(std::uint64_t request_id, std::uint16_t session,
 {
     if (!enabled_ || request_id == 0)
         return;
-    MaybeLock lock(this);
 
     RequestTrace *trace = lookup(request_id);
     if (!trace) {
@@ -224,7 +223,6 @@ FlightRecorder::stampAt(std::uint64_t request_id, Stamp stamp, Tick now)
 {
     if (!enabled_ || request_id == 0)
         return;
-    MaybeLock lock(this);
     RequestTrace *trace = lookup(request_id);
     if (!trace || trace->completed)
         return;
@@ -239,7 +237,6 @@ FlightRecorder::complete(std::uint64_t request_id, Tick now,
 {
     if (!enabled_ || request_id == 0)
         return;
-    MaybeLock lock(this);
     RequestTrace *trace = lookup(request_id);
     if (!trace || trace->completed)
         return;

@@ -60,7 +60,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/time.h"
@@ -179,17 +178,6 @@ class FlightRecorder
     void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-    /**
-     * Serialize the stamp hooks with an internal mutex. Required when
-     * the testbed runs on the partitioned engine: requests stamp from
-     * whichever worker advances their partition. The accumulator
-     * stays deterministic regardless of stamp interleaving — it folds
-     * integer tick sums per completed trace, which commute — so the
-     * lock only provides memory safety, not ordering. Off by default;
-     * single-threaded runs never pay for it.
-     */
-    void setConcurrent(bool on) { concurrent_ = on; }
-
 #ifdef PMNET_OBS_NO_TRACING
     void begin(std::uint64_t, std::uint16_t, std::uint32_t, bool, Tick,
                std::uint16_t = 0) {}
@@ -271,28 +259,8 @@ class FlightRecorder
     void indexErase(std::uint64_t request_id);
     RequestTrace *lookup(std::uint64_t request_id);
 
-    /** Locks hooks iff concurrent_ (see setConcurrent). */
-    struct MaybeLock
-    {
-        std::mutex *locked = nullptr;
-        explicit MaybeLock(const FlightRecorder *rec)
-        {
-            if (rec->concurrent_) {
-                locked = &rec->mutex_;
-                locked->lock();
-            }
-        }
-        ~MaybeLock()
-        {
-            if (locked)
-                locked->unlock();
-        }
-    };
-
     bool enabled_ = true;
     bool accumulating_ = false;
-    bool concurrent_ = false;
-    mutable std::mutex mutex_;
 
     std::vector<RequestTrace> slots_;
     /** Open-addressing index: request id -> slot, -1 = empty. */

@@ -205,8 +205,8 @@ class PmnetDevice : public net::ForwardingNode
     /**
      * True while a resilver stream is still pushing entries. Cleared
      * when the stream finishes or this device loses power; the repair
-     * coordinator polls it between engine windows (quiescent) and
-     * restarts the stream if the source died mid-push.
+     * coordinator polls it between simulation windows and restarts
+     * the stream if the source died mid-push.
      */
     bool resilverActive() const { return resilverActive_; }
 

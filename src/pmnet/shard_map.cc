@@ -9,7 +9,7 @@
 namespace pmnet {
 
 ShardMap::ShardMap(unsigned shard_count, unsigned vnodes_per_shard)
-    : shardCount_(shard_count)
+    : shardCount_(shard_count), health_(shard_count, Health::Healthy)
 {
     if (shard_count == 0)
         panic("ShardMap: shard_count must be >= 1");
@@ -26,17 +26,12 @@ ShardMap::ShardMap(unsigned shard_count, unsigned vnodes_per_shard)
     }
     // Sort by (point, shard) so ties break deterministically; the key
     // hash and the vnode labels are both fixed, so the ring layout is
-    // identical across runs, threads, and platforms.
+    // identical across runs and platforms.
     std::sort(ring_.begin(), ring_.end(),
               [](const VNode &a, const VNode &b) {
                   return a.point != b.point ? a.point < b.point
                                             : a.shard < b.shard;
               });
-
-    health_ = std::make_unique<std::atomic<std::uint8_t>[]>(shard_count);
-    for (unsigned s = 0; s < shard_count; s++)
-        health_[s].store(static_cast<std::uint8_t>(Health::Healthy),
-                         std::memory_order_relaxed);
 }
 
 unsigned
@@ -50,20 +45,6 @@ ShardMap::ownerOf(std::uint64_t key_hash) const
     if (it == ring_.end())
         it = ring_.begin();
     return it->shard;
-}
-
-ShardMap::Health
-ShardMap::health(unsigned shard) const
-{
-    return static_cast<Health>(
-        health_[shard].load(std::memory_order_acquire));
-}
-
-void
-ShardMap::setHealth(unsigned shard, Health health)
-{
-    health_[shard].store(static_cast<std::uint8_t>(health),
-                         std::memory_order_release);
 }
 
 bool

@@ -21,22 +21,12 @@
  *                log may still have holes — clients fail over to the
  *                tail (require the server's ack) until re-silvering
  *                finishes.
- *
- * Health is stored in std::atomic so device/coordinator partitions
- * can publish transitions that client partitions observe without a
- * data race under sim::Engine. Like the fault runner's audit
- * counters, cross-partition *timing* of an observation is only
- * deterministic single-threaded; benches that pin goldens never
- * change health, so their output stays byte-identical across worker
- * counts.
  */
 
 #ifndef PMNET_PMNET_SHARD_MAP_H
 #define PMNET_PMNET_SHARD_MAP_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace pmnet {
@@ -59,8 +49,12 @@ class ShardMap
     /** Owning shard of a key (by its hashKey/KeyRef 64-bit hash). */
     unsigned ownerOf(std::uint64_t key_hash) const;
 
-    Health health(unsigned shard) const;
-    void setHealth(unsigned shard, Health health);
+    Health health(unsigned shard) const { return health_[shard]; }
+    void
+    setHealth(unsigned shard, Health health)
+    {
+        health_[shard] = health;
+    }
 
     /** True when every shard is Healthy (fast path everywhere). */
     bool allHealthy() const;
@@ -76,7 +70,7 @@ class ShardMap
 
     unsigned shardCount_;
     std::vector<VNode> ring_; ///< sorted by point
-    std::unique_ptr<std::atomic<std::uint8_t>[]> health_;
+    std::vector<Health> health_;
 };
 
 } // namespace pmnet

@@ -1,34 +1,8 @@
 #include "sim/simulator.h"
 
 #include "common/logging.h"
-#include "sim/parallel.h"
 
 namespace pmnet::sim {
-
-namespace {
-
-/**
- * The partition whose events the calling thread is currently
- * executing; null on threads that are not inside run()/runWindow().
- * cancelEvent/eventPending/scheduleAt check it to fail fast on
- * cross-partition touches, which would otherwise race the foreign
- * partition's slab (see the EventHandle doc).
- */
-thread_local const Simulator *t_active = nullptr;
-
-struct ActiveScope
-{
-    const Simulator *saved;
-
-    explicit ActiveScope(const Simulator *sim) : saved(t_active)
-    {
-        t_active = sim;
-    }
-
-    ~ActiveScope() { t_active = saved; }
-};
-
-} // namespace
 
 void
 EventHandle::cancel()
@@ -65,20 +39,9 @@ Simulator::releaseSlot(std::uint32_t slot)
     freeHead_ = slot;
 }
 
-void
-Simulator::assertOwnPartition(const char *what) const
-{
-    if (engine_ != nullptr && t_active != nullptr && t_active != this)
-        panic("Simulator::%s: cross-partition access (handle belongs to "
-              "partition %u) — route the work through the owning "
-              "partition's events or a LinkChannel",
-              what, partitionIndex_);
-}
-
 bool
 Simulator::cancelEvent(std::uint32_t slot, std::uint32_t gen)
 {
-    assertOwnPartition("cancel");
     if (slot >= slots_.size() || slots_[slot].gen != gen)
         return false; // already fired/cancelled; slot may be recycled
     releaseSlot(slot);
@@ -89,7 +52,6 @@ Simulator::cancelEvent(std::uint32_t slot, std::uint32_t gen)
 bool
 Simulator::eventPending(std::uint32_t slot, std::uint32_t gen) const
 {
-    assertOwnPartition("pending");
     return slot < slots_.size() && slots_[slot].gen == gen;
 }
 
@@ -145,29 +107,13 @@ Simulator::schedule(TickDelta delay, EventFn fn)
 EventHandle
 Simulator::scheduleAt(Tick when, EventFn fn)
 {
-    assertOwnPartition("schedule");
     if (when < now_)
         panic("Simulator::scheduleAt: time %lld is in the past (now %lld)",
               static_cast<long long>(when), static_cast<long long>(now_));
     std::uint32_t slot = acquireSlot();
     Slot &s = slots_[slot];
     s.fn = std::move(fn);
-    heapPush(HeapEntry{when, now_, nextSeq_++, slot, s.gen});
-    live_++;
-    return EventHandle(this, slot, s.gen);
-}
-
-EventHandle
-Simulator::scheduleDelivered(Tick when, Tick sent, EventFn fn)
-{
-    if (when < now_)
-        panic("Simulator::scheduleDelivered: arrival %lld is in the past "
-              "(now %lld) — link latency below the engine lookahead?",
-              static_cast<long long>(when), static_cast<long long>(now_));
-    std::uint32_t slot = acquireSlot();
-    Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    heapPush(HeapEntry{when, sent, nextSeq_++, slot, s.gen});
+    heapPush(HeapEntry{when, nextSeq_++, slot, s.gen});
     live_++;
     return EventHandle(this, slot, s.gen);
 }
@@ -176,15 +122,6 @@ void
 Simulator::stop()
 {
     stopRequested_ = true;
-    if (engine_ != nullptr)
-        engine_->stop();
-}
-
-void
-Simulator::attachEngine(Engine *engine, std::uint32_t index)
-{
-    engine_ = engine;
-    partitionIndex_ = index;
 }
 
 std::uint64_t
@@ -192,7 +129,6 @@ Simulator::run(Tick until)
 {
     std::uint64_t fired = 0;
     stopRequested_ = false;
-    ActiveScope scope(this);
     while (!heap_.empty() && !stopRequested_) {
         HeapEntry top = heap_.front();
         if (top.gen != slots_[top.slot].gen) {
@@ -218,31 +154,6 @@ Simulator::run(Tick until)
 }
 
 std::uint64_t
-Simulator::runWindow(Tick horizon)
-{
-    std::uint64_t fired = 0;
-    ActiveScope scope(this);
-    while (!heap_.empty() && !stopRequested_) {
-        HeapEntry top = heap_.front();
-        if (top.gen != slots_[top.slot].gen) {
-            heapPop();
-            continue;
-        }
-        if (top.when >= horizon)
-            break;
-        heapPop();
-        now_ = top.when;
-        EventCallback fn = std::move(slots_[top.slot].fn);
-        releaseSlot(top.slot);
-        live_--;
-        fn();
-        fired++;
-        executed_++;
-    }
-    return fired;
-}
-
-std::uint64_t
 Simulator::advanceTo(Tick when)
 {
     if (when < now_)
@@ -256,7 +167,7 @@ Simulator::advanceTo(Tick when)
 }
 
 Tick
-Simulator::nextEventTime()
+Simulator::nextEventAt()
 {
     while (!heap_.empty()) {
         const HeapEntry &top = heap_.front();
@@ -265,17 +176,6 @@ Simulator::nextEventTime()
         heapPop();
     }
     return kTickMax;
-}
-
-void
-Simulator::fastForward(Tick when)
-{
-    if (live_ != 0)
-        panic("Simulator::fastForward: partition %u still has %llu live "
-              "event(s)",
-              partitionIndex_, static_cast<unsigned long long>(live_));
-    if (now_ < when)
-        now_ = when;
 }
 
 } // namespace pmnet::sim

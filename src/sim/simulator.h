@@ -146,7 +146,6 @@ class EventCallback
 using EventFn = EventCallback;
 
 class Simulator;
-class Engine;
 
 /**
  * Handle to a scheduled event, used for cancellation (e.g. client
@@ -156,11 +155,6 @@ class Engine;
  * slot's generation moves on and the handle becomes a harmless no-op,
  * even if the slot has been recycled for a new event. Handles must
  * not be used after their Simulator is destroyed.
- *
- * Under the partitioned Engine a handle is additionally bound to its
- * partition: cancelling (or querying) it from an event executing on a
- * *different* partition would race the owner's slab and is a fail-fast
- * panic — see Simulator::cancelEvent.
  */
 class EventHandle
 {
@@ -193,22 +187,9 @@ class EventHandle
  * instances are fully independent, so independent systems may run on
  * different threads concurrently (the sweep harness relies on this).
  *
- * A Simulator may also serve as one *partition* of a sim::Engine
- * (parallel.h): the Engine owns several Simulators, advances them in
- * lookahead-bounded windows on a worker pool, and feeds cross-partition
- * work in through scheduleDelivered(). A partition is still
- * single-threaded — only one thread ever executes its events — the
- * Engine merely decides *which* thread runs each window.
- *
- * Ordering: events fire by (when, sched, seq), where `sched` is the
- * tick at which the schedule call was made and `seq` a per-simulator
- * counter. For a lone Simulator this is provably identical to the
- * historical (when, seq) order — seq is assigned in scheduling order
- * and now() never decreases, so sched_a < sched_b implies
- * seq_a < seq_b. The extra key exists for partitioned runs: a
- * cross-partition delivery is re-sequenced into the target partition
- * when its window opens, and keying on the *send* tick puts it back
- * exactly where the legacy single-heap run would have fired it.
+ * Ordering: events fire by (when, seq), where `seq` is a per-simulator
+ * counter assigned in scheduling order, so same-tick events fire in
+ * the order they were scheduled.
  */
 class Simulator
 {
@@ -241,8 +222,7 @@ class Simulator
      */
     std::uint64_t run(Tick until = kTickMax);
 
-    /** Request run() to return after the current event completes.
-     *  Under an Engine this stops the whole engine run. */
+    /** Request run() to return after the current event completes. */
     void stop();
 
     /** @name External (wall-clock) driver interface — gateway mode
@@ -255,8 +235,9 @@ class Simulator
      *  @{
      */
 
-    /** Tick of the earliest live event; kTickMax when idle. */
-    Tick nextEventAt() { return nextEventTime(); }
+    /** Tick of the earliest live event; kTickMax when idle. Pops
+     *  cancelled stale heap tops as a side effect. */
+    Tick nextEventAt();
 
     /**
      * Execute every event due at or before @p when, then move the
@@ -282,7 +263,6 @@ class Simulator
 
   private:
     friend class EventHandle;
-    friend class Engine;
 
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
@@ -299,26 +279,24 @@ class Simulator
     };
 
     /**
-     * Heap entries are plain values ordered by (when, sched, seq);
-     * `gen` is compared against the slot on pop so cancelled events
-     * are skipped lazily without heap surgery.
+     * Heap entries are plain values ordered by (when, seq); `gen` is
+     * compared against the slot on pop so cancelled events are skipped
+     * lazily without heap surgery.
      */
     struct HeapEntry
     {
         Tick when;
-        Tick sched; ///< tick the schedule call was made (see class doc)
         std::uint64_t seq;
         std::uint32_t slot;
         std::uint32_t gen;
     };
+    static_assert(sizeof(HeapEntry) == 24);
 
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.sched != b.sched)
-            return a.sched < b.sched;
         return a.seq < b.seq;
     }
 
@@ -326,50 +304,15 @@ class Simulator
     void releaseSlot(std::uint32_t slot);
     bool cancelEvent(std::uint32_t slot, std::uint32_t gen);
     bool eventPending(std::uint32_t slot, std::uint32_t gen) const;
-    void assertOwnPartition(const char *what) const;
 
     void heapPush(HeapEntry entry);
     void heapPop();
-
-    /** @name Engine (partition) interface — see parallel.h
-     *  @{
-     */
-    void attachEngine(Engine *engine, std::uint32_t index);
-
-    /**
-     * Schedule a cross-partition delivery drained from a LinkChannel:
-     * like scheduleAt(@p when, ...) but ordered as if the call had
-     * been made at tick @p sent on this partition, reproducing the
-     * single-heap firing order.
-     */
-    EventHandle scheduleDelivered(Tick when, Tick sent, EventFn fn);
-
-    /**
-     * Execute every event with when < @p horizon (strict). Does not
-     * fast-forward now_ past the last executed event and does not
-     * clear a pending stop request — the Engine owns both.
-     * @return number of events executed.
-     */
-    std::uint64_t runWindow(Tick horizon);
-
-    /** Tick of the earliest live event; kTickMax when idle. Pops
-     *  cancelled stale heap tops as a side effect. */
-    Tick nextEventTime();
-
-    /** Jump an idle partition's clock to @p when (end-of-run). */
-    void fastForward(Tick when);
-
-    void clearStop() { stopRequested_ = false; }
-    /** @} */
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t live_ = 0;
     bool stopRequested_ = false;
-
-    Engine *engine_ = nullptr;      ///< set when owned by an Engine
-    std::uint32_t partitionIndex_ = 0;
 
     std::vector<Slot> slots_;
     std::uint32_t freeHead_ = kNoSlot;

@@ -81,7 +81,7 @@ struct TestbedConfig
     /**
      * Open-loop clients: instead of issuing the next command when the
      * previous completes, each driver fires one command every
-     * openLoopGap (ticks of its own partition clock), up to
+     * openLoopGap, up to
      * openLoopMaxOutstanding in flight — the 1024-client shard
      * scaling regime. 0 keeps the closed-loop driver.
      */
@@ -154,18 +154,6 @@ struct TestbedConfig
 
     /** Master seed; every client derives its own stream. */
     std::uint64_t seed = 42;
-
-    /**
-     * Simulation threading. 0 (default) keeps the historical layout:
-     * one Simulator shared by every node, advanced on the calling
-     * thread. >= 1 builds the partitioned engine instead — one event
-     * queue per node, link-latency lookahead windows — advanced by
-     * this many worker threads. The partition layout depends only on
-     * the topology, never on the worker count, so results are
-     * byte-identical across simThreads values >= 1 (and match 0 for
-     * every published figure output; see DESIGN.md section 12).
-     */
-    unsigned simThreads = 0;
 
     /** @name Observability (DESIGN.md section 11)
      * Metric registration is always on (it only attaches pointers to

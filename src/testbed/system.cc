@@ -1,7 +1,6 @@
 #include "testbed/system.h"
 
 #include "common/logging.h"
-#include "sim/parallel.h"
 
 namespace pmnet::testbed {
 
@@ -54,46 +53,10 @@ Testbed::Testbed(TestbedConfig config)
 
 Testbed::~Testbed() = default;
 
-sim::Simulator &
-Testbed::simulator()
-{
-    if (engine_)
-        fatal("Testbed::simulator: partitioned testbed (simThreads=%u) "
-              "has one clock per node; use now()/runUntil() or a "
-              "node's own simulator()",
-              config_.simThreads);
-    return sim_;
-}
-
-Tick
-Testbed::now() const
-{
-    return engine_ ? engine_->now() : sim_.now();
-}
-
-void
-Testbed::runUntil(Tick until)
-{
-    if (engine_)
-        engine_->run(until);
-    else
-        sim_.run(until);
-}
-
 void
 Testbed::buildTopology()
 {
-    if (config_.simThreads > 0) {
-        engine_ = std::make_unique<sim::Engine>(config_.simThreads);
-        // Workers that execute partition events also acquire/release
-        // pooled packets; arm every executing thread's pool for
-        // cross-thread releases before the first event runs.
-        engine_->setThreadInit(
-            []() { net::PacketPool::local().enableConcurrent(); });
-        topo_ = std::make_unique<net::Topology>(*engine_);
-    } else {
-        topo_ = std::make_unique<net::Topology>(sim_);
-    }
+    topo_ = std::make_unique<net::Topology>(sim_);
 
     shardUnits_.resize(config_.shards);
     bool multi = config_.shards > 1;
@@ -101,7 +64,7 @@ Testbed::buildTopology()
         shardMap_ = std::make_unique<pmnet::ShardMap>(
             config_.shards, config_.shardVnodes);
 
-    // Node-creation order fixes NodeIds and engine partitions:
+    // Node-creation order fixes NodeIds:
     // [server0, tor, clients..., shard0 devices..., server1, shard1
     // devices..., ...]. At shards == 1 this is exactly the historical
     // layout, so every published figure stays byte-identical.
@@ -306,26 +269,16 @@ Testbed::buildClients()
             client.lib->setShardMap(shardMap_.get(), shard_servers);
     }
 
+    DriverSinks sinks;
+    sinks.updateLatency = &updateLatency_;
+    sinks.readLatency = &readLatency_;
+    sinks.allLatency = &allLatency_;
+    sinks.meter = &meter_;
+    sinks.measuring = &measuring_;
     for (int i = 0; i < config_.clientCount; i++) {
-        auto shard = std::make_unique<DriverShard>();
-        shard->updateLatency.setMode(config_.statsMode);
-        shard->readLatency.setMode(config_.statsMode);
-        shard->allLatency.setMode(config_.statsMode);
-
-        DriverSinks sinks;
-        sinks.updateLatency = &shard->updateLatency;
-        sinks.readLatency = &shard->readLatency;
-        sinks.allLatency = &shard->allLatency;
-        sinks.meter = &shard->meter;
-        sinks.measuring = &measuring_;
-        shards_.push_back(std::move(shard));
-
-        // The driver lives on its client's partition (== sim_ in
-        // single-simulator mode).
         std::uint16_t session = static_cast<std::uint16_t>(i + 1);
-        Client &client = clients_[static_cast<std::size_t>(i)];
         drivers_.push_back(std::make_unique<ClientDriver>(
-            client.host->simulator(), *client.lib,
+            sim_, *clients_[static_cast<std::size_t>(i)].lib,
             config_.workload(session), rng_.split(), sinks, config_));
     }
 }
@@ -396,25 +349,6 @@ Testbed::wireObservability()
     }
     net::PacketPool::local().registerMetrics(metrics_, "packetPool");
 
-    if (engine_) {
-        // Engine-mode-only paths, so single-simulator snapshots stay
-        // byte-identical to pre-engine builds.
-        sim::Engine *eng = engine_.get();
-        metrics_.probe("engine.workers", [eng]() {
-            return obs::Json(static_cast<std::uint64_t>(eng->workers()));
-        });
-        metrics_.probe("engine.partitions", [eng]() {
-            return obs::Json(
-                static_cast<std::uint64_t>(eng->partitionCount()));
-        });
-        metrics_.probe("engine.windows", [eng]() {
-            return obs::Json(eng->windows());
-        });
-        metrics_.probe("engine.events", [eng]() {
-            return obs::Json(eng->eventsExecuted());
-        });
-    }
-
     if (!config_.observability)
         return;
 
@@ -422,8 +356,6 @@ Testbed::wireObservability()
     // and the figure binaries promise byte-identical output with it
     // off.
     recorder_ = std::make_unique<obs::FlightRecorder>(config_.flightSlots);
-    if (engine_)
-        recorder_->setConcurrent(true);
     obs::FlightRecorder *rec = recorder_.get();
     for (auto &client : clients_) {
         client.host->setRecorder(rec);
@@ -457,12 +389,6 @@ Testbed::beginMeasurement()
     updateLatency_.clear();
     readLatency_.clear();
     allLatency_.clear();
-    for (auto &shard : shards_) {
-        shard->updateLatency.clear();
-        shard->readLatency.clear();
-        shard->allLatency.clear();
-        shard->meter.start(now()); // resets the shard's count
-    }
     if (recorder_) {
         recorder_->resetAccum();
         recorder_->setAccumulating(true);
@@ -476,14 +402,6 @@ Testbed::endMeasurement()
 {
     meter_.stop(now());
     measuring_ = false;
-    // Merge the per-driver shards in driver order (deterministic in
-    // either threading mode; see DriverShard).
-    for (auto &shard : shards_) {
-        updateLatency_.merge(shard->updateLatency);
-        readLatency_.merge(shard->readLatency);
-        allLatency_.merge(shard->allLatency);
-        meter_.addCompleted(shard->meter.completed());
-    }
 
     RunResults results;
     results.opsPerSecond = meter_.completed() > 0

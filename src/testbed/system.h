@@ -84,22 +84,14 @@ class Testbed
     void beginMeasurement();
     RunResults endMeasurement();
 
-    /**
-     * The shared simulator. @pre simThreads == 0: a partitioned
-     * testbed has one clock per node — use now()/runFor()/runUntil()
-     * for time control and Node::simulator() to schedule against a
-     * specific node's partition.
-     */
-    sim::Simulator &simulator();
+    /** The one event queue every node of the testbed schedules on. */
+    sim::Simulator &simulator() { return sim_; }
 
-    /** The partitioned engine; null when simThreads == 0. */
-    sim::Engine *engine() { return engine_.get(); }
+    /** Current simulated time. */
+    Tick now() const { return sim_.now(); }
 
-    /** Current simulated time, in either threading mode. */
-    Tick now() const;
-
-    /** Advance simulated time (engine- or simulator-backed). */
-    void runUntil(Tick until);
+    /** Advance simulated time. */
+    void runUntil(Tick until) { sim_.run(until); }
     void runFor(TickDelta duration) { runUntil(now() + duration); }
     /** @} */
 
@@ -192,24 +184,6 @@ class Testbed
         std::unique_ptr<stack::ClientLib> lib;
     };
 
-    /**
-     * Per-driver measurement shard. Each driver records only into its
-     * own shard (its partition owns it — no sharing, no locks);
-     * endMeasurement merges the shards in driver order into the
-     * run-level series. Used in both threading modes so the sample
-     * streams are identical by construction, and safe for the summary
-     * outputs either way: percentiles/CDFs sort, and the mean's
-     * double accumulation of integer tick values stays below 2^53, so
-     * merge order cannot change any emitted figure.
-     */
-    struct DriverShard
-    {
-        LatencySeries updateLatency;
-        LatencySeries readLatency;
-        LatencySeries allLatency;
-        ThroughputMeter meter;
-    };
-
     void buildTopology();
     void buildServerApp();
     void buildClients();
@@ -218,10 +192,7 @@ class Testbed
     void wireObservability();
 
     TestbedConfig config_;
-    sim::Simulator sim_; ///< unused when engine_ is set
-    /** Declared before topo_: nodes reference engine partitions, so
-     *  the topology must be destroyed first (reverse member order). */
-    std::unique_ptr<sim::Engine> engine_;
+    sim::Simulator sim_;
     std::unique_ptr<net::Topology> topo_;
 
     obs::MetricRegistry metrics_;
@@ -249,7 +220,6 @@ class Testbed
     std::vector<pmnetdev::PmnetDevice *> devices_;
     std::vector<Client> clients_;
     std::vector<std::unique_ptr<ClientDriver>> drivers_;
-    std::vector<std::unique_ptr<DriverShard>> shards_;
 
     HandlerTap handlerTap_;
 

@@ -6,16 +6,8 @@
 #
 # Usage:
 #   cmake -DBIN=<bench> -DOUT=<tmp.json> -DGOLDEN=<golden.json>
-#         [-DEXTRA_ARGS=<args;list>] -P run_and_compare.cmake
-#
-# EXTRA_ARGS (a ;-list) is appended to the bench command line; the
-# golden-*-threads variants use it to pin the partitioned engine's
-# output ("--threads;1", "--threads;4") to the same goldens recorded
-# from the single-simulator build.
-if(NOT DEFINED EXTRA_ARGS)
-    set(EXTRA_ARGS "")
-endif()
-execute_process(COMMAND ${BIN} --smoke --json ${OUT} ${EXTRA_ARGS}
+#         -P run_and_compare.cmake
+execute_process(COMMAND ${BIN} --smoke --json ${OUT}
                 RESULT_VARIABLE run_rc
                 OUTPUT_QUIET)
 if(NOT run_rc EQUAL 0)

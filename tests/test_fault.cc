@@ -292,8 +292,7 @@ TEST(HashmapShadowTest, ShadowInvalidatedAcrossCrash)
 // ------------------------------------------- scripted testbed plans
 
 FaultRunConfig
-planConfig(unsigned replication = 1, bool cache = true,
-           unsigned sim_threads = 0)
+planConfig(unsigned replication = 1, bool cache = true)
 {
     FaultRunConfig config;
     config.testbed.mode = testbed::SystemMode::PmnetSwitch;
@@ -302,7 +301,6 @@ planConfig(unsigned replication = 1, bool cache = true,
     config.testbed.cacheEnabled = cache;
     config.testbed.storeKind = kv::KvKind::Hashmap;
     config.testbed.seed = 42;
-    config.testbed.simThreads = sim_threads;
     config.updatesPerClient = 30;
     config.keysPerSession = 8;
     return config;
@@ -396,7 +394,7 @@ TEST(FaultPlanTest, DeterministicReports)
 
 FaultRunConfig
 shardedPlanConfig(kv::KvKind kind = kv::KvKind::Hashmap,
-                  bool cache = false, unsigned sim_threads = 0)
+                  bool cache = false)
 {
     FaultRunConfig config;
     config.testbed.mode = testbed::SystemMode::PmnetSwitch;
@@ -406,7 +404,6 @@ shardedPlanConfig(kv::KvKind kind = kv::KvKind::Hashmap,
     config.testbed.cacheEnabled = cache;
     config.testbed.storeKind = kind;
     config.testbed.seed = 42;
-    config.testbed.simThreads = sim_threads;
     config.updatesPerClient = 30;
     config.keysPerSession = 8;
     // Short drain windows so the repair coordinator polls while log
@@ -493,16 +490,17 @@ TEST(FaultPlanTest, ChainRepairTailDeviceAndSecondShardUntouched)
     EXPECT_EQ(report.counter("repairs-completed"), 1u) << report.text();
 }
 
-TEST(FaultPlanTest, ChainRepairHoldsOnPartitionedEngine)
+TEST(FaultPlanTest, ChainRepairReplacesHeadWithServerUp)
 {
+    // Head replacement while the shard's server stays up and the
+    // cache is off: the only plan that repairs a chain with live
+    // server acks still flowing.
     FaultPlan plan;
-    plan.name = "chain-repair-partitioned";
+    plan.name = "chain-repair-head";
     plan.actions.push_back(
         chainRepairAt(microseconds(400), microseconds(250), 0));
 
-    FaultRunner runner(shardedPlanConfig(kv::KvKind::Hashmap,
-                                         /*cache=*/false,
-                                         /*sim_threads=*/4));
+    FaultRunner runner(shardedPlanConfig());
     const InvariantReport &report = runner.run(plan);
     EXPECT_TRUE(report.clean()) << report.text();
     EXPECT_EQ(report.counter("acked-total"), 60u);
@@ -572,47 +570,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<kv::KvKind> &param_info) {
         return std::string(kv::kvKindName(param_info.param));
     });
-
-TEST(FaultPlanTest, PowerCutPlanHoldsP1P3OnPartitionedEngine)
-{
-    // The full duplicate-delivery + recovery scenario on the
-    // partitioned engine: P1-P3 must hold with every node on its own
-    // partition and four workers draining them.
-    FaultPlan plan;
-    plan.name = "power-cut-partitioned";
-    plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(120), 0, 0.0, 3,
-         false, 0, FaultAction::Where::DeviceClientSide});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(400), microseconds(500), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
-
-    FaultRunner runner(planConfig(1, true, /*sim_threads=*/4));
-    const InvariantReport &report = runner.run(plan);
-    EXPECT_TRUE(report.clean()) << report.text();
-    EXPECT_GE(runner.testbed().metrics().value("server.recoveries"), 1u);
-    EXPECT_GE(report.counter("device-recovery-resent"), 1u)
-        << report.text();
-    EXPECT_EQ(report.counter("acked-total"), 60u);
-}
-
-TEST(FaultPlanTest, ChainReplacePlanMatchesLegacyOnPartitionedEngine)
-{
-    FaultPlan plan;
-    plan.name = "chain-replace-partitioned";
-    plan.actions.push_back({FaultAction::Kind::DeviceReplace,
-                            microseconds(450), 0, 0.0, 0, false, 0,
-                            FaultAction::Where::DeviceClientSide});
-
-    FaultRunner legacy(planConfig(/*replication=*/2, /*cache=*/false));
-    FaultRunner engine(
-        planConfig(/*replication=*/2, /*cache=*/false, /*sim_threads=*/4));
-    const InvariantReport &a = legacy.run(plan);
-    const InvariantReport &b = engine.run(plan);
-    EXPECT_TRUE(b.clean()) << b.text();
-    EXPECT_EQ(b.text(), a.text())
-        << "partitioned engine changed the fault report";
-}
 
 } // namespace
 } // namespace pmnet

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -167,17 +168,27 @@ TEST(GatewayWire, NonPmnetEgressIsDropped)
 
 constexpr Tick kOpTimeout = seconds(10);
 
-/** An in-process pmnetd: the daemon plus its polling thread. */
+/**
+ * An in-process pmnetd: the daemon plus its polling thread. The daemon
+ * is built on that thread, so the packets its recovery creates come
+ * from the pool of the thread that releases them.
+ */
 class DaemonHarness
 {
   public:
     explicit DaemonHarness(GatewayServer::Config config = {})
-        : daemon_(std::make_unique<GatewayServer>(std::move(config)))
     {
-        loop_ = std::thread([this] {
-            while (!done_.load(std::memory_order_relaxed))
-                daemon_->runtime().pollOnce(10);
-        });
+        std::promise<void> built;
+        std::future<void> ready = built.get_future();
+        loop_ = std::thread(
+            [this, config = std::move(config),
+             built = std::move(built)]() mutable {
+                daemon_ = std::make_unique<GatewayServer>(std::move(config));
+                built.set_value();
+                while (!done_.load(std::memory_order_relaxed))
+                    daemon_->runtime().pollOnce(10);
+            });
+        ready.wait();
     }
 
     ~DaemonHarness() { stop(); }

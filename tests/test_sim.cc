@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 namespace pmnet::sim {
@@ -310,234 +309,89 @@ TEST(SimObject, NameAndScheduling)
 }
 
 // ---------------------------------------------------------------------
-// Partitioned engine (sim/parallel.h)
+// External driver interface (advanceTo / nextEventAt), as a wall-clock
+// runtime drives it: ask for the next deadline, advance to a tick.
 
-TEST(Engine, SinglePartitionRunsLikePlainSimulator)
+TEST(Simulator, AdvanceToFiresEveryEventAtOrBeforeTarget)
 {
-    Engine engine(1);
-    Simulator &sim = engine.addPartition();
+    Simulator sim;
+    std::vector<Tick> fired;
+    auto record = [&]() { fired.push_back(sim.now()); };
+    sim.scheduleAt(10, record);
+    sim.scheduleAt(20, record);
+    sim.scheduleAt(30, [&]() {
+        record();
+        sim.schedule(0, record); // same tick, scheduled mid-advance
+    });
+    sim.scheduleAt(31, record);
 
+    EXPECT_EQ(sim.advanceTo(30), 4u);
+    EXPECT_EQ(fired, (std::vector<Tick>{10, 20, 30, 30}));
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.nextEventAt(), 31);
+}
+
+TEST(Simulator, AdvanceToMovesClockToTargetWithLaterEventsPending)
+{
+    Simulator sim;
+    sim.scheduleAt(100, []() {});
+    sim.scheduleAt(500, []() {});
+
+    sim.advanceTo(250);
+    EXPECT_EQ(sim.now(), 250);
+    EXPECT_FALSE(sim.idle());
+
+    // Relative schedules after the advance count from the target.
+    Tick fired_at = 0;
+    sim.schedule(5, [&]() { fired_at = sim.now(); });
+    sim.advanceTo(400);
+    EXPECT_EQ(fired_at, 255);
+    EXPECT_EQ(sim.now(), 400);
+    EXPECT_EQ(sim.nextEventAt(), 500);
+}
+
+TEST(Simulator, NextEventAtSkipsCancelledTop)
+{
+    Simulator sim;
+    EventHandle early = sim.scheduleAt(10, []() {});
+    sim.scheduleAt(40, []() {});
+    EXPECT_EQ(sim.nextEventAt(), 10);
+
+    early.cancel();
+    EXPECT_EQ(sim.nextEventAt(), 40);
+    EXPECT_EQ(sim.advanceTo(40), 1u);
+}
+
+TEST(Simulator, NextEventAtIsTickMaxWhenIdle)
+{
+    Simulator sim;
+    EXPECT_EQ(sim.nextEventAt(), kTickMax);
+
+    EventHandle only = sim.scheduleAt(10, []() {});
+    only.cancel();
+    EXPECT_EQ(sim.nextEventAt(), kTickMax);
+
+    sim.scheduleAt(20, []() {});
+    sim.advanceTo(20);
+    EXPECT_EQ(sim.nextEventAt(), kTickMax);
+}
+
+TEST(Simulator, SameTickOrderHoldsAcrossAdvanceToBoundary)
+{
+    // Tick-100 events scheduled before and after an advance to 50
+    // fire in the order they were scheduled.
+    Simulator sim;
     std::vector<int> order;
-    sim.schedule(30, [&]() { order.push_back(3); });
-    sim.schedule(10, [&]() { order.push_back(1); });
-    sim.schedule(20, [&]() { order.push_back(2); });
+    sim.scheduleAt(100, [&]() { order.push_back(1); });
+    sim.scheduleAt(100, [&]() { order.push_back(2); });
+    sim.advanceTo(50);
+    sim.scheduleAt(100, [&]() { order.push_back(3); });
+    sim.schedule(50, [&]() { order.push_back(4); });
 
-    EXPECT_EQ(engine.run(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(engine.now(), 30);
-    EXPECT_TRUE(engine.idle());
-    EXPECT_EQ(engine.eventsExecuted(), 3u);
+    sim.advanceTo(100);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(sim.now(), 100);
 }
-
-TEST(Engine, IdleRunUntilAdvancesClockLikeSimulator)
-{
-    Engine engine(1);
-    Simulator &a = engine.addPartition();
-    Simulator &b = engine.addPartition();
-    engine.connect(b, 100);
-
-    a.schedule(40, []() {});
-    engine.run(500);
-    // All partitions fast-forward to `until` once globally idle, the
-    // same clock contract as Simulator::run.
-    EXPECT_EQ(a.now(), 500);
-    EXPECT_EQ(b.now(), 500);
-    EXPECT_EQ(engine.now(), 500);
-}
-
-TEST(Engine, CrossPartitionDeliveryFiresAtArrivalTick)
-{
-    Engine engine(1);
-    Simulator &src = engine.addPartition();
-    Simulator &dst = engine.addPartition();
-    LinkChannel &chan = engine.connect(dst, 50);
-    EXPECT_EQ(engine.lookahead(), 50);
-
-    Tick delivered_at = -1;
-    src.schedule(10, [&]() {
-        chan.push(src.now() + 50, src.now(),
-                  [&]() { delivered_at = dst.now(); });
-    });
-    engine.run();
-    EXPECT_EQ(delivered_at, 60);
-}
-
-TEST(Engine, DeliveriesOrderBySendTickAgainstLocalEvents)
-{
-    // A delivery re-keyed by its send tick must order against local
-    // same-tick events exactly as a global heap would have: scheduled
-    // earlier (sent=10) beats scheduled later (sched=40), even though
-    // both fire at tick 60.
-    Engine engine(1);
-    Simulator &src = engine.addPartition();
-    Simulator &dst = engine.addPartition();
-    LinkChannel &chan = engine.connect(dst, 50);
-
-    std::vector<std::string> order;
-    src.schedule(10, [&]() {
-        chan.push(60, 10, [&]() { order.push_back("delivered"); });
-    });
-    dst.schedule(40, [&]() {
-        dst.scheduleAt(60, [&]() { order.push_back("local"); });
-    });
-    engine.run();
-    EXPECT_EQ(order,
-              (std::vector<std::string>{"delivered", "local"}));
-}
-
-/** Shared scripted scenario: a ring of partitions with self-scheduling
- *  actors that ship every third firing to the next partition. Returns
- *  the concatenated per-partition execution traces. */
-std::vector<std::uint64_t>
-ringTrace(unsigned workers)
-{
-    constexpr unsigned kParts = 4;
-    constexpr TickDelta kLatency = 70;
-
-    Engine engine(workers);
-    std::vector<Simulator *> sims;
-    for (unsigned p = 0; p < kParts; p++)
-        sims.push_back(&engine.addPartition());
-    std::vector<LinkChannel *> next;
-    for (unsigned p = 0; p < kParts; p++)
-        next.push_back(&engine.connect(*sims[(p + 1) % kParts], kLatency));
-
-    // One trace per partition: only that partition's events touch it.
-    std::vector<std::vector<std::uint64_t>> traces(kParts);
-
-    struct Actor
-    {
-        Simulator *sim;
-        LinkChannel *channel;
-        std::vector<std::uint64_t> *trace;
-        std::vector<std::uint64_t> *destTrace; // next partition's trace
-        std::uint64_t id;
-        std::uint64_t state;
-        int fires = 0;
-
-        void
-        fire()
-        {
-            trace->push_back((static_cast<std::uint64_t>(sim->now()) << 8) |
-                             id);
-            fires++;
-            if (fires % 3 == 0) {
-                Tick now = sim->now();
-                std::uint64_t tag = id;
-                // The delivery runs on the *destination* partition, so
-                // it must record into that partition's trace — each
-                // trace is only ever touched by its owning partition.
-                auto *t = destTrace;
-                channel->push(now + 70, now, [t, tag]() {
-                    t->push_back(0xff00 | tag);
-                });
-            }
-            state = state * 6364136223846793005ull + 1442695040888963407ull;
-            sim->schedule(static_cast<TickDelta>((state >> 33) % 97) + 1,
-                          [this]() { fire(); });
-        }
-    };
-
-    std::vector<std::unique_ptr<Actor>> actors;
-    for (unsigned p = 0; p < kParts; p++) {
-        for (std::uint64_t a = 0; a < 3; a++) {
-            actors.push_back(std::make_unique<Actor>(
-                Actor{sims[p], next[p], &traces[p],
-                      &traces[(p + 1) % kParts], p * 8 + a,
-                      0x1234u + p * 8 + a, 0}));
-            Actor *actor = actors.back().get();
-            sims[p]->schedule(static_cast<TickDelta>(a) + 1,
-                              [actor]() { actor->fire(); });
-        }
-    }
-
-    engine.run(20000);
-
-    std::vector<std::uint64_t> all;
-    for (auto &t : traces) {
-        all.insert(all.end(), t.begin(), t.end());
-        all.push_back(0xdeadbeef); // partition separator
-    }
-    return all;
-}
-
-TEST(Engine, ExecutionTraceIdenticalAcrossWorkerCounts)
-{
-    std::vector<std::uint64_t> one = ringTrace(1);
-    ASSERT_GT(one.size(), 100u);
-    EXPECT_EQ(ringTrace(2), one);
-    EXPECT_EQ(ringTrace(4), one);
-    EXPECT_EQ(ringTrace(8), one);
-}
-
-TEST(Engine, StopHaltsAfterOpenWindow)
-{
-    Engine engine(1);
-    Simulator &sim = engine.addPartition();
-    int fired = 0;
-    sim.schedule(10, [&]() {
-        fired++;
-        sim.stop(); // propagates to the engine
-    });
-    sim.schedule(10000, [&]() { fired++; });
-    engine.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(engine.idle());
-}
-
-TEST(Engine, CancelOnOwnPartitionWorks)
-{
-    Engine engine(1);
-    Simulator &a = engine.addPartition();
-    Simulator &b = engine.addPartition();
-    engine.connect(b, 10);
-
-    bool fired = false;
-    EventHandle timer;
-    a.schedule(5, [&]() {
-        timer = a.schedule(100, [&]() { fired = true; });
-    });
-    a.schedule(50, [&]() { timer.cancel(); });
-    engine.run();
-    EXPECT_FALSE(fired);
-}
-
-#if GTEST_HAS_DEATH_TEST
-TEST(EngineDeathTest, CrossPartitionCancelPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            Engine engine(1);
-            Simulator &a = engine.addPartition();
-            Simulator &b = engine.addPartition();
-            engine.connect(b, 10);
-
-            EventHandle timer = a.schedule(1000, []() {});
-            // Cancelling partition a's event from an event executing
-            // on partition b must fail fast.
-            b.schedule(5, [&]() { timer.cancel(); });
-            engine.run();
-        },
-        "cross-partition");
-}
-
-TEST(EngineDeathTest, CrossPartitionSchedulePanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            Engine engine(1);
-            Simulator &a = engine.addPartition();
-            Simulator &b = engine.addPartition();
-            engine.connect(b, 10);
-
-            b.schedule(5, [&]() { a.schedule(10, []() {}); });
-            engine.run();
-        },
-        "cross-partition");
-}
-#endif
 
 } // namespace
 } // namespace pmnet::sim

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -124,15 +125,20 @@ main(int argc, char **argv)
     std::atomic<bool> daemonDone{false};
     std::uint16_t port = static_cast<std::uint16_t>(opts.connectPort);
     if (opts.loopback) {
-        gateway::GatewayServer::Config config;
-        config.dataDir = opts.dataDir;
-        daemon =
-            std::make_unique<gateway::GatewayServer>(std::move(config));
-        port = daemon->localPort();
-        daemonLoop = std::thread([&] {
+        // Build the daemon on the thread that polls it (see
+        // GatewayServer: its recovery packets belong to that thread).
+        std::promise<std::uint16_t> bound;
+        std::future<std::uint16_t> boundPort = bound.get_future();
+        daemonLoop = std::thread([&, bound = std::move(bound)]() mutable {
+            gateway::GatewayServer::Config config;
+            config.dataDir = opts.dataDir;
+            daemon =
+                std::make_unique<gateway::GatewayServer>(std::move(config));
+            bound.set_value(daemon->localPort());
             while (!daemonDone.load(std::memory_order_relaxed))
                 daemon->runtime().pollOnce(20);
         });
+        port = boundPort.get();
     }
 
     int rc;

@@ -15,7 +15,7 @@
  *   pmnet_sim --mode pmnet-switch --fail-server-at-ms 20
  *   pmnet_sim --smoke --json        # schema-validated CI snapshot
  *   pmnet_sim --scenario list       # adversarial link scenarios
- *   pmnet_sim --scenario ge-burst-loss --threads 4
+ *   pmnet_sim --scenario ge-burst-loss
  *   pmnet_sim --scenario all        # the whole CI sweep, exit != 0
  *                                   # on any P1-P3 violation
  */
@@ -53,7 +53,6 @@ struct Options
     double measureMs = 30;
     double failServerAtMs = -1;
     double outageMs = 1;
-    unsigned threads = 0;
     std::string scenario;
     cli::CommonOptions common;
 };
@@ -141,10 +140,6 @@ parseArgs(int argc, char **argv)
                         &opts.failServerAtMs);
     parser.optionDouble("--outage-ms", "T",
                         "outage duration (default 1)", &opts.outageMs);
-    parser.optionUnsigned("--threads", "N",
-                          "simulation worker threads (0 = single "
-                          "simulator; >=1 partitions per node)",
-                          &opts.threads);
     parser.optionString("--scenario", "S",
                         "run an adversarial link-condition scenario "
                         "against the P1-P3 invariant checker: a name, "
@@ -348,7 +343,6 @@ runScenarioMode(const Options &opts)
 
     fault::ScenarioRunOptions run_opts;
     run_opts.kind = parseStructure(opts.structure);
-    run_opts.simThreads = opts.threads;
     run_opts.seed = opts.common.seed;
 
     std::size_t violations = 0;
@@ -396,7 +390,6 @@ main(int argc, char **argv)
     // The interactive tool always traces: the latency breakdown is
     // half its point, and a few ns per packet is irrelevant here.
     config.observability = true;
-    config.simThreads = opts.threads;
 
     testbed::Testbed bed(std::move(config));
 
@@ -416,22 +409,18 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(opts.common.seed));
 
     if (opts.failServerAtMs >= 0) {
-        // Injected on the server's own partition (the shared simulator
-        // when --threads is 0).
-        sim::Simulator &ssim = bed.serverHost().simulator();
-        ssim.schedule(milliseconds(opts.failServerAtMs), [&]() {
-            sim::Simulator &ssim = bed.serverHost().simulator();
+        sim::Simulator &sim = bed.simulator();
+        sim.schedule(milliseconds(opts.failServerAtMs), [&]() {
             if (!opts.common.json)
                 std::printf("[%.3f ms] injecting server power failure "
                             "(%.1f ms outage)\n",
-                            toMilliseconds(ssim.now()), opts.outageMs);
+                            toMilliseconds(bed.now()), opts.outageMs);
             bed.serverHost().powerFail();
-            ssim.schedule(milliseconds(opts.outageMs), [&]() {
+            bed.simulator().schedule(milliseconds(opts.outageMs), [&]() {
                 if (!opts.common.json)
                     std::printf("[%.3f ms] server restored, recovery "
                                 "begins\n",
-                                toMilliseconds(
-                                    bed.serverHost().simulator().now()));
+                                toMilliseconds(bed.now()));
                 bed.serverHost().powerRestore();
             });
         });

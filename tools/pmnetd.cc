@@ -56,42 +56,44 @@ dumpSnapshot(const gateway::GatewayServer &server, const Options &opts)
                    stdout);
 }
 
-/** --smoke: drive the daemon from an in-process loopback client. */
+/**
+ * --smoke: drive the daemon from an in-process loopback client. The
+ * daemon keeps polling on the thread that built it (see
+ * GatewayServer); the client runs on its own thread.
+ */
 int
 runSmoke(gateway::GatewayServer &server, const Options &opts)
 {
     std::atomic<bool> done{false};
-    std::thread serverLoop([&] {
-        while (!done.load(std::memory_order_relaxed))
-            server.runtime().pollOnce(20);
-    });
-
-    gateway::GatewayClient::Config client_config;
-    client_config.server =
-        gateway::Endpoint::loopback(server.localPort());
-    gateway::GatewayClient client(client_config);
-
     int failures = 0;
-    const Tick op_timeout = seconds(5);
-    for (int i = 0; i < opts.smokeOps; i++) {
-        std::string key = "k" + std::to_string(i);
-        std::string value = "v" + std::to_string(i);
-        if (!client.set(key, value, op_timeout)) {
-            std::fprintf(stderr, "pmnetd: smoke SET %s timed out\n",
-                         key.c_str());
-            failures++;
-            continue;
-        }
-        auto got = client.get(key, op_timeout);
-        if (!got || *got != value) {
-            std::fprintf(stderr, "pmnetd: smoke GET %s mismatch\n",
-                         key.c_str());
-            failures++;
-        }
-    }
+    std::thread clientLoop([&] {
+        gateway::GatewayClient::Config client_config;
+        client_config.server =
+            gateway::Endpoint::loopback(server.localPort());
+        gateway::GatewayClient client(client_config);
 
-    done.store(true, std::memory_order_relaxed);
-    serverLoop.join();
+        const Tick op_timeout = seconds(5);
+        for (int i = 0; i < opts.smokeOps; i++) {
+            std::string key = "k" + std::to_string(i);
+            std::string value = "v" + std::to_string(i);
+            if (!client.set(key, value, op_timeout)) {
+                std::fprintf(stderr, "pmnetd: smoke SET %s timed out\n",
+                             key.c_str());
+                failures++;
+                continue;
+            }
+            auto got = client.get(key, op_timeout);
+            if (!got || *got != value) {
+                std::fprintf(stderr, "pmnetd: smoke GET %s mismatch\n",
+                             key.c_str());
+                failures++;
+            }
+        }
+        done.store(true, std::memory_order_release);
+    });
+    while (!done.load(std::memory_order_acquire))
+        server.runtime().pollOnce(20);
+    clientLoop.join();
 
     dumpSnapshot(server, opts);
     if (failures > 0) {
