@@ -105,7 +105,9 @@ LogJournal::onLogClear()
 void
 LogJournal::sync()
 {
-    ::fdatasync(fd_);
+    if (::fdatasync(fd_) != 0)
+        fatal("LogJournal: fdatasync of %s failed: %s", path_.c_str(),
+              std::strerror(errno));
 }
 
 std::size_t
@@ -212,7 +214,9 @@ LogJournal::compact(const pm::PmLogStore &store)
             left -= static_cast<std::size_t>(n);
         }
     });
-    ::fdatasync(fd);
+    if (::fdatasync(fd) != 0)
+        fatal("LogJournal: fdatasync of %s failed: %s", tmp.c_str(),
+              std::strerror(errno));
     ::close(fd);
 
     if (::rename(tmp.c_str(), path_.c_str()) != 0)

@@ -64,7 +64,11 @@ class LogJournal : public pm::LogStoreObserver
      */
     void compact(const pm::PmLogStore &store);
 
-    /** fdatasync the journal (power-loss durability; optional). */
+    /**
+     * fdatasync the journal (power-loss durability; optional). A
+     * failed flush is fatal: the daemon must not go on acking
+     * durability it no longer has.
+     */
     void sync();
 
     /** @name Replay diagnostics

@@ -14,6 +14,12 @@
  * Contents are persistent: a device power failure does not clear
  * committed slots (insertion timing/queueing is modeled separately by
  * LogQueue + the device pipeline).
+ *
+ * The slot array is modeled, not allocated: a one-bit-per-slot
+ * occupancy bitmap (128 KB for the default 2 GB log) answers "is this
+ * slot live?", and an open-addressing table keyed by slot index holds
+ * a LogEntry only for live slots. Memory follows the live set, not
+ * the capacity.
  */
 
 #ifndef PMNET_PM_LOG_STORE_H
@@ -79,7 +85,10 @@ class PmLogStore
     LogInsertResult insert(std::uint32_t hash, net::PacketPtr pkt,
                            Tick now);
 
-    /** Entry for @p hash, or nullptr when the slot is empty/mismatched. */
+    /**
+     * Entry for @p hash, or nullptr when the slot is empty/mismatched.
+     * Valid until the next insert(), erase() or clear().
+     */
     const LogEntry *lookup(std::uint32_t hash) const;
 
     /** True when the direct-mapped slot for @p hash is unoccupied. */
@@ -92,10 +101,10 @@ class PmLogStore
     bool erase(std::uint32_t hash);
 
     /**
-     * Visit every live entry (recovery resend scan). Walks the
-     * occupancy bitmap, skipping empty 64-slot runs in one test — a
-     * nearly-empty multi-GB log scans in microseconds instead of
-     * touching every slot.
+     * Visit every live entry in ascending slot index — the recovery
+     * replay order. Walks the occupancy bitmap, skipping empty 64-slot
+     * runs in one test, so a nearly-empty multi-GB log scans in
+     * microseconds.
      */
     void forEach(const std::function<void(const LogEntry &)> &fn) const;
 
@@ -103,17 +112,17 @@ class PmLogStore
     std::uint64_t size() const { return live_; }
 
     /** Total slots. */
-    std::uint64_t capacity() const { return slots_.size(); }
+    std::uint64_t capacity() const { return slotCount_; }
 
     /** Fraction of slots holding a live entry, in [0, 1]. O(1). */
     double
     occupancy() const
     {
-        return static_cast<double>(live_) /
-               static_cast<double>(slots_.size());
+        return static_cast<double>(size()) /
+               static_cast<double>(slotCount_);
     }
 
-    bool full() const { return live_ == capacity(); }
+    bool full() const { return size() == slotCount_; }
 
     /** Drop every entry (fresh device). */
     void clear();
@@ -130,20 +139,38 @@ class PmLogStore
     /** @} */
 
   private:
-    struct Slot
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** One live slot of the entry table; kNoSlot marks a free cell. */
+    struct LiveSlot
     {
-        bool valid = false;
+        std::size_t index = kNoSlot;
         LogEntry entry;
     };
 
     std::size_t indexFor(std::uint32_t hash) const;
+    bool occupiedAt(std::size_t index) const;
     void markOccupied(std::size_t index, bool occupied);
+    /**
+     * First cell on slot @p index's probe path whose index is @p want:
+     * @p index itself (the slot must be live) or kNoSlot (a free cell).
+     */
+    std::size_t probe(std::size_t index, std::size_t want) const;
+    void grow();
 
     DevicePmConfig config_;
     LogStoreObserver *observer_ = nullptr;
-    std::vector<Slot> slots_;
+    std::size_t slotCount_;
     /** One bit per slot; lets scans skip 64 empty slots at a time. */
     std::vector<std::uint64_t> occupied_;
+    /**
+     * Live entries, open addressing on the slot index: a power-of-two
+     * cell count kept at least twice the live count, linear probing,
+     * entries inline. The bitmap answers membership, so a probe only
+     * ever runs for a live slot and stops at that slot's cell: erase()
+     * simply empties the cell, with no tombstone or backward shift.
+     */
+    std::vector<LiveSlot> cells_ = std::vector<LiveSlot>(16);
     std::uint64_t live_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "pm/pm_heap.h"
 
+#include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <cstring>
 
 #include <fcntl.h>
@@ -21,14 +24,27 @@ persistBoundaryName(PersistBoundary boundary)
     return "unknown";
 }
 
+PmHeap::Image
+PmHeap::allocateImage(std::uint64_t capacity)
+{
+    auto *image = static_cast<std::uint8_t *>(
+        std::calloc(static_cast<std::size_t>(capacity), 1));
+    if (image == nullptr)
+        fatal("PmHeap: cannot allocate a %llu-byte image",
+              static_cast<unsigned long long>(capacity));
+    return Image(image);
+}
+
 PmHeap::PmHeap(std::uint64_t capacity_bytes, CostModel model)
     : capacity_(capacity_bytes), model_(model)
 {
     if (capacity_bytes < kHeaderSize + 1024)
         fatal("PmHeap: capacity %llu too small",
               static_cast<unsigned long long>(capacity_bytes));
-    volatileImage_.assign(capacity_, 0);
-    durableImage_.assign(capacity_, 0);
+    volatileImage_ = allocateImage(capacity_);
+    durableImage_ = allocateImage(capacity_);
+    std::uint64_t pages = (capacity_ + kPageBytes - 1) / kPageBytes;
+    dirtyPages_.assign(static_cast<std::size_t>((pages + 63) / 64), 0);
     Header header{kMagic, kHeaderSize, kNullOffset};
     storeHeader(header);
     fence();
@@ -59,6 +75,22 @@ PmHeap::backingWrite(PmOffset offset, const void *data, std::size_t len)
     }
 }
 
+void
+PmHeap::backingRead(PmOffset offset, void *out, std::size_t len)
+{
+    char *p = static_cast<char *>(out);
+    while (len > 0) {
+        ssize_t n = ::pread(backingFd_, p, len,
+                            static_cast<off_t>(offset));
+        if (n <= 0)
+            fatal("PmHeap: backing-file read failed at %llu",
+                  static_cast<unsigned long long>(offset));
+        p += n;
+        offset += static_cast<PmOffset>(n);
+        len -= static_cast<std::size_t>(n);
+    }
+}
+
 PmHeap::BackingState
 PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
 {
@@ -75,23 +107,15 @@ PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
         fatal("PmHeap: cannot stat backing file %s", path.c_str());
 
     if (static_cast<std::uint64_t>(st.st_size) == capacity_) {
-        Bytes image(capacity_);
-        std::uint64_t got = 0;
-        while (got < capacity_) {
-            ssize_t n = ::pread(fd, image.data() + got, capacity_ - got,
-                                static_cast<off_t>(got));
-            if (n <= 0)
-                fatal("PmHeap: backing-file read failed at %llu",
-                      static_cast<unsigned long long>(got));
-            got += static_cast<std::uint64_t>(n);
-        }
         Header header;
-        std::memcpy(&header, image.data(), sizeof(header));
+        backingRead(0, &header, sizeof(header));
         if (header.magic == kMagic) {
-            durableImage_ = std::move(image);
+            backingRead(0, durableImage_.get(), capacity_);
             // Same state as right after a power failure: volatile
             // reverts to durable, staged/free-list state is gone.
-            volatileImage_ = durableImage_;
+            std::memcpy(volatileImage_.get(), durableImage_.get(),
+                        capacity_);
+            std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
             staged_.clear();
             stageArena_.clear();
             for (std::vector<PmOffset> &list : smallFree_)
@@ -106,15 +130,16 @@ PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
 
     if (::ftruncate(fd, static_cast<off_t>(capacity_)) != 0)
         fatal("PmHeap: cannot size backing file %s", path.c_str());
-    backingWrite(0, durableImage_.data(), durableImage_.size());
+    backingWrite(0, durableImage_.get(), capacity_);
     return BackingState::Fresh;
 }
 
 void
 PmHeap::syncBackingFile()
 {
-    if (backingFd_ >= 0)
-        ::fdatasync(backingFd_);
+    if (backingFd_ >= 0 && ::fdatasync(backingFd_) != 0)
+        fatal("PmHeap: backing-file fdatasync failed: %s",
+              std::strerror(errno));
 }
 
 void
@@ -130,7 +155,7 @@ PmHeap::Header
 PmHeap::loadHeader() const
 {
     Header header;
-    std::memcpy(&header, volatileImage_.data(), sizeof(header));
+    std::memcpy(&header, volatileImage_.get(), sizeof(header));
     return header;
 }
 
@@ -201,17 +226,28 @@ void
 PmHeap::write(PmOffset offset, const void *data, std::size_t len)
 {
     checkRange(offset, len);
-    std::memcpy(volatileImage_.data() + offset, data, len);
+    if (len == 0)
+        return;
+    std::memcpy(volatileImage_.get() + offset, data, len);
+    markDirty(offset, len);
     std::size_t lines = CostModel::linesSpanned(offset, len);
     counts_.writeLines += lines;
     accrued_ += model_.writePerLine * static_cast<TickDelta>(lines);
 }
 
 void
+PmHeap::markDirty(PmOffset offset, std::size_t len)
+{
+    std::uint64_t last = (offset + len - 1) / kPageBytes;
+    for (std::uint64_t page = offset / kPageBytes; page <= last; page++)
+        dirtyPages_[page / 64] |= std::uint64_t{1} << (page % 64);
+}
+
+void
 PmHeap::read(PmOffset offset, void *out, std::size_t len) const
 {
     checkRange(offset, len);
-    std::memcpy(out, volatileImage_.data() + offset, len);
+    std::memcpy(out, volatileImage_.get() + offset, len);
     std::size_t lines = CostModel::linesSpanned(offset, len);
     counts_.readLines += lines;
     accrued_ += model_.readPerLine * static_cast<TickDelta>(lines);
@@ -233,9 +269,8 @@ PmHeap::flush(PmOffset offset, std::size_t len)
     if (last > capacity_)
         last = capacity_;
     std::size_t pos = stageArena_.size();
-    stageArena_.insert(stageArena_.end(),
-                       volatileImage_.begin() + static_cast<long>(first),
-                       volatileImage_.begin() + static_cast<long>(last));
+    stageArena_.insert(stageArena_.end(), volatileImage_.get() + first,
+                       volatileImage_.get() + last);
     staged_.push_back(StagedRange{first, pos, last - first});
 
     std::size_t lines = CostModel::linesSpanned(offset, len);
@@ -253,13 +288,13 @@ PmHeap::fence()
         accrued_ += model_.fenceEmpty;
     } else {
         for (const StagedRange &r : staged_) {
-            std::memcpy(durableImage_.data() + r.off,
+            std::memcpy(durableImage_.get() + r.off,
                         stageArena_.data() + r.pos, r.len);
             if (backingFd_ >= 0)
                 backingWrite(r.off, stageArena_.data() + r.pos, r.len);
         }
         if (backingFd_ >= 0 && syncEveryFence_)
-            ::fdatasync(backingFd_);
+            syncBackingFile();
         staged_.clear();
         stageArena_.clear();
         accrued_ += model_.fenceDrain;
@@ -280,9 +315,7 @@ PmHeap::setRoot(PmOffset new_root)
 PmOffset
 PmHeap::root() const
 {
-    Header header;
-    std::memcpy(&header, volatileImage_.data(), sizeof(header));
-    return header.root;
+    return loadHeader().root;
 }
 
 void
@@ -300,7 +333,20 @@ PmHeap::crash()
     crashEpoch_++;
     staged_.clear();
     stageArena_.clear();
-    volatileImage_ = durableImage_;
+    // Only pages written since the last crash can differ from durable.
+    for (std::size_t word = 0; word < dirtyPages_.size(); word++) {
+        std::uint64_t bits = dirtyPages_[word];
+        while (bits != 0) {
+            std::uint64_t begin =
+                (word * 64 + static_cast<unsigned>(std::countr_zero(bits))) *
+                kPageBytes;
+            bits &= bits - 1;
+            std::memcpy(volatileImage_.get() + begin,
+                        durableImage_.get() + begin,
+                        std::min(kPageBytes, capacity_ - begin));
+        }
+        dirtyPages_[word] = 0;
+    }
     // Volatile allocator metadata (free lists) is lost.
     for (std::vector<PmOffset> &list : smallFree_)
         list.clear();

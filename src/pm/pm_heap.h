@@ -17,6 +17,13 @@
  * any structure that skipped a flush or fence will visibly lose data —
  * this is what the crash-recovery property tests exercise.
  *
+ * A run pays only for the PM it touches. Both images are lazily
+ * zeroed allocations (calloc: large pools come straight from fresh
+ * anonymous pages the kernel maps on first touch), and write() marks
+ * its 4 KB pages in a dirty set. A page outside that set holds the
+ * same bytes in both images, so crash() copies back only the marked
+ * pages instead of the whole pool.
+ *
  * Every operation also accrues simulated time per the CostModel; the
  * server host drains this accrual to charge request-processing time.
  *
@@ -29,8 +36,10 @@
 #define PMNET_PM_PM_HEAP_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -132,7 +141,10 @@ class PmHeap
     /** True when fence() writes through to a backing file. */
     bool fileBacked() const { return backingFd_ >= 0; }
 
-    /** fdatasync the backing file (no-op without one). */
+    /**
+     * fdatasync the backing file (no-op without one). A failed flush
+     * is fatal, as in LogJournal::sync().
+     */
     void syncBackingFile();
     /** @} */
 
@@ -294,17 +306,35 @@ class PmHeap
 
     static constexpr std::uint64_t kMagic = 0x504D4E4554504Dull;
     static constexpr std::uint64_t kHeaderSize = 64;
+    /** Granule of the dirty set: one bit per 4 KB page. */
+    static constexpr std::uint64_t kPageBytes = 4096;
+
+    /** A lazily zeroed pool image, released with std::free. */
+    struct ImageDeleter
+    {
+        void operator()(std::uint8_t *image) const { std::free(image); }
+    };
+    using Image = std::unique_ptr<std::uint8_t[], ImageDeleter>;
+    static Image allocateImage(std::uint64_t capacity);
 
     void checkRange(PmOffset offset, std::size_t len) const;
     Header loadHeader() const;
     void storeHeader(const Header &header);
     void backingWrite(PmOffset offset, const void *data,
                       std::size_t len);
+    void backingRead(PmOffset offset, void *out, std::size_t len);
+    void markDirty(PmOffset offset, std::size_t len);
 
     std::uint64_t capacity_;
     CostModel model_;
-    Bytes volatileImage_;
-    Bytes durableImage_;
+    Image volatileImage_;
+    Image durableImage_;
+    /**
+     * Pages write() touched since the last crash(); every other page
+     * is identical in both images (fence() only ever copies volatile
+     * bytes captured by flush()).
+     */
+    std::vector<std::uint64_t> dirtyPages_;
     /**
      * Ranges staged by flush(), applied to durable at fence(). The
      * byte content lives in a flat arena reused across fences (clear

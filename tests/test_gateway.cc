@@ -15,6 +15,8 @@
  *  - GatewayRecovery.*: the daemon is destroyed without a graceful
  *    sync and reassembled on the same dataDir; every previously acked
  *    update must be readable by a fresh session.
+ *  - GatewayJournalDeathTest.*: a failed fdatasync of the journal
+ *    stops the daemon instead of letting it ack lost durability.
  */
 
 #include <gtest/gtest.h>
@@ -26,9 +28,13 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "pmnet/pmnet_api.h"
 
 #include "apps/kv_protocol.h"
+#include "gateway/journal.h"
 #include "net/packet.h"
 
 namespace pmnet::gateway {
@@ -419,6 +425,22 @@ TEST(GatewayRecovery, RestartRunsPowerRestoreBeforeServing)
     obs::Snapshot snapshot = daemon.snapshot();
     EXPECT_NE(snapshot.toJson(obs::JsonStyle::Pretty).find("pmnetd"),
               std::string::npos);
+}
+
+TEST(GatewayJournalDeathTest, FailedFdatasyncIsFatal)
+{
+    // A FIFO opens like a journal file, but fdatasync on it fails
+    // (EINVAL) — the same path an EIO or ENOSPC flush takes.
+    std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    std::string fifo = dir + "/log.journal";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    {
+        LogJournal journal(fifo);
+        EXPECT_DEATH(journal.sync(), "fdatasync of .*log.journal failed");
+    }
+    ::unlink(fifo.c_str());
+    ::rmdir(dir.c_str());
 }
 
 } // namespace

@@ -7,7 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <memory>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
+
+#include <stdlib.h>
+#include <unistd.h>
 
 #include "net/packet.h"
 #include "pm/commit_epoch.h"
@@ -161,6 +170,166 @@ TEST(PmHeapDeath, OutOfBoundsPanics)
     EXPECT_DEATH(heap.read((1 << 20) - 4, buf, 16), "out of bounds");
 }
 
+/**
+ * Dense reference model of the persist semantics, the oracle for
+ * PmHeap's sparse bookkeeping: two full images, flush() captures the
+ * rounded-out cache lines, fence() applies them in order, crash()
+ * copies the whole durable image back.
+ */
+class DenseHeapModel
+{
+  public:
+    explicit DenseHeapModel(const Bytes &image)
+        : volatile_(image), durable_(image)
+    {
+    }
+
+    void
+    write(PmOffset offset, const Bytes &data)
+    {
+        std::copy(data.begin(), data.end(), volatile_.begin() + offset);
+    }
+
+    void
+    flush(PmOffset offset, std::size_t len)
+    {
+        PmOffset first = offset / kCacheLine * kCacheLine;
+        PmOffset last = std::min<PmOffset>(
+            (offset + len + kCacheLine - 1) / kCacheLine * kCacheLine,
+            volatile_.size());
+        staged_.emplace_back(first, Bytes(volatile_.begin() + first,
+                                          volatile_.begin() + last));
+    }
+
+    void
+    fence()
+    {
+        for (const auto &[offset, bytes] : staged_)
+            std::copy(bytes.begin(), bytes.end(),
+                      durable_.begin() + offset);
+        staged_.clear();
+    }
+
+    void
+    crash()
+    {
+        staged_.clear();
+        volatile_ = durable_;
+    }
+
+    const Bytes &image() const { return volatile_; }
+
+  private:
+    Bytes volatile_;
+    Bytes durable_;
+    std::vector<std::pair<PmOffset, Bytes>> staged_;
+};
+
+Bytes
+readAll(const PmHeap &heap)
+{
+    Bytes image(heap.capacity());
+    heap.read(0, image.data(), image.size());
+    return image;
+}
+
+/**
+ * A non-empty range past the pool header (overwriting the header would
+ * trip crash()'s magic check), biased toward 4 KB page boundaries and
+ * the pool's last byte, where a page-granular dirty set can go wrong.
+ */
+std::pair<PmOffset, std::size_t>
+pickRange(std::uint64_t capacity, std::mt19937_64 &rng)
+{
+    constexpr std::uint64_t kPage = 4096;
+    constexpr PmOffset kFirst = 64;
+    std::uint64_t len =
+        1 + (rng() % 4 == 0 ? rng() % (3 * kPage) : rng() % 200);
+    len = std::min(len, capacity - kFirst);
+    PmOffset offset = 0;
+    switch (rng() % 3) {
+      case 0:
+        offset = kFirst + rng() % (capacity - len - kFirst + 1);
+        break;
+      case 1: {
+        // Cover (or end exactly at) a page boundary.
+        PmOffset boundary = kPage * (1 + rng() % (capacity / kPage));
+        offset = boundary - std::min(boundary, rng() % (len + 1));
+        break;
+      }
+      default:
+        offset = capacity - len;
+        break;
+    }
+    return {std::clamp(offset, kFirst, capacity - len),
+            static_cast<std::size_t>(len)};
+}
+
+/** Apply @p steps random persist-path steps to both and compare. */
+void
+runRandomSteps(PmHeap &heap, DenseHeapModel &model, std::mt19937_64 &rng,
+               int steps)
+{
+    for (int step = 0; step < steps; step++) {
+        auto [offset, len] = pickRange(heap.capacity(), rng);
+        std::uint64_t op = rng() % 20;
+        if (op == 0) {
+            heap.crash();
+            model.crash();
+            ASSERT_EQ(readAll(heap), model.image())
+                << "image diverged after the crash at step " << step;
+        } else if (op < 4) {
+            heap.fence();
+            model.fence();
+        } else if (op < 8) {
+            heap.flush(offset, len);
+            model.flush(offset, len);
+        } else if (op < 14) {
+            Bytes data(len);
+            for (std::uint8_t &byte : data)
+                byte = static_cast<std::uint8_t>(rng());
+            heap.write(offset, data.data(), len);
+            model.write(offset, data);
+        } else {
+            Bytes got(len);
+            heap.read(offset, got.data(), len);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   model.image().begin() + offset))
+                << "read [" << offset << ", +" << len
+                << ") diverged at step " << step;
+        }
+    }
+}
+
+TEST(PmHeap, MatchesDenseReferenceAcrossCrashesAndReopen)
+{
+    // Not a multiple of 4 KB: the last dirty page is a partial one.
+    constexpr std::uint64_t kCapacity = 64 * 4096 + 1000;
+    char path[] = "/tmp/pmnet_pm_heap_XXXXXX";
+    int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+
+    std::mt19937_64 rng(15);
+    auto heap = std::make_unique<PmHeap>(kCapacity);
+    ASSERT_EQ(heap->attachBackingFile(path), PmHeap::BackingState::Fresh);
+    DenseHeapModel model(readAll(*heap));
+    ASSERT_NO_FATAL_FAILURE(runRandomSteps(*heap, model, rng, 6000));
+
+    // Power cut, then a restarted process reopens the pool file.
+    heap->crash();
+    model.crash();
+    heap = std::make_unique<PmHeap>(kCapacity);
+    ASSERT_EQ(heap->attachBackingFile(path),
+              PmHeap::BackingState::Reopened);
+    ASSERT_EQ(readAll(*heap), model.image());
+    ASSERT_NO_FATAL_FAILURE(runRandomSteps(*heap, model, rng, 6000));
+    heap->crash();
+    model.crash();
+    EXPECT_EQ(readAll(*heap), model.image());
+    ::unlink(path);
+}
+
 TEST(CostModel, LinesSpanned)
 {
     EXPECT_EQ(CostModel::linesSpanned(0, 0), 0u);
@@ -295,6 +464,40 @@ TEST(PmLogStore, BitmapScanTracksInsertEraseChurn)
     EXPECT_EQ(after_clear, 0);
     EXPECT_EQ(store.size(), 0u);
     EXPECT_DOUBLE_EQ(store.occupancy(), 0.0);
+}
+
+TEST(PmLogStore, ForEachVisitsSlotsInAscendingIndex)
+{
+    // forEach order is the recovery replay order: ascending slot
+    // index, whatever order the entries arrived and left in.
+    DevicePmConfig config;
+    config.capacityBytes = 100000 * 2048; // not a power of two
+    PmLogStore store(config);
+    ASSERT_EQ(store.capacity(), 100000u);
+
+    std::mt19937 rng(7);
+    auto pkt = updatePacket(1);
+    std::vector<std::uint32_t> inserted;
+    for (int i = 0; i < 600; i++) {
+        std::uint32_t hash = static_cast<std::uint32_t>(rng());
+        if (store.insert(hash, pkt, 0) == LogInsertResult::Ok)
+            inserted.push_back(hash);
+        if (i % 4 == 3 && !inserted.empty())
+            store.erase(inserted[rng() % inserted.size()]);
+    }
+    std::set<std::uint64_t> live_slots;
+    for (std::uint32_t hash : inserted) {
+        if (store.lookup(hash) != nullptr)
+            live_slots.insert(hash % store.capacity());
+    }
+    ASSERT_EQ(live_slots.size(), store.size());
+
+    std::vector<std::uint64_t> visited;
+    store.forEach([&](const LogEntry &entry) {
+        visited.push_back(entry.hashVal % store.capacity());
+    });
+    EXPECT_EQ(visited, std::vector<std::uint64_t>(live_slots.begin(),
+                                                  live_slots.end()));
 }
 
 TEST(PmLogStore, HighWaterTracksPeak)
@@ -580,6 +783,38 @@ TEST(DevicePmConfig, SlotCount)
 {
     DevicePmConfig config;
     EXPECT_EQ(config.slotCount(), (2ull << 30) / 2048);
+}
+
+// ---------------------------------------------------------- footprint
+
+std::uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size = 0;
+    std::uint64_t resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(PmFootprint, FullSizeLogAndGigabyteHeapCostOnlyTouchedPages)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory distorts RSS";
+#endif
+    std::uint64_t before = residentBytes();
+    PmLogStore store{DevicePmConfig{}}; // 2 GB: 1M slots
+    PmHeap heap(1ull << 30);
+    auto pkt = updatePacket(1);
+    ASSERT_EQ(store.insert(pkt->pmnet->hashVal, pkt, 0),
+              LogInsertResult::Ok);
+    PmOffset off = heap.alloc(64);
+    heap.persistObj<std::uint64_t>(off, 7);
+    heap.crash();
+    ASSERT_EQ(heap.readObj<std::uint64_t>(off), 7u);
+    std::uint64_t growth = residentBytes() - before;
+    EXPECT_LT(growth, 16ull << 20)
+        << "RSS grew by " << (growth >> 20) << " MB";
 }
 
 } // namespace
