@@ -27,10 +27,7 @@ namespace pmnet::benchutil {
  * row is mirrored as one JSON object into an array at @p path so a
  * perf trajectory can be tracked across PRs (`BENCH_*.json`).
  * Also parses `--smoke`, which benches use to shrink their grid to a
- * few milliseconds of simulated time for the bench-smoke CTest target,
- * and `--exact`, which switches the big sweep benches (fig16/19/20)
- * from streaming (histogram) latency stats back to exact raw-sample
- * storage — for byte-identical comparison against older revisions.
+ * few milliseconds of simulated time for the bench-smoke CTest target.
  *
  * Parsing goes through cli::ArgParser (tolerating bench-specific
  * extra arguments) and rendering through obs::Snapshot's BenchRows
@@ -46,7 +43,6 @@ class BenchJson
         cli::ArgParser parser(bench_name, "figure-reproduction bench");
         cli::addJsonPath(parser, common_);
         cli::addSmoke(parser, common_);
-        cli::addExact(parser, common_);
         parser.parse(argc, argv, /*allow_unknown=*/true);
     }
 
@@ -57,16 +53,6 @@ class BenchJson
 
     /** True when the binary was invoked with `--smoke`. */
     bool smoke() const { return common_.smoke; }
-
-    /** True when the binary was invoked with `--exact`. */
-    bool exactStats() const { return common_.exact; }
-
-    /** Stats mode for benches that default to streaming collection. */
-    StatsMode
-    statsMode() const
-    {
-        return common_.exact ? StatsMode::Exact : StatsMode::Streaming;
-    }
 
     /** True when rows will be written to a file. */
     bool enabled() const { return !common_.jsonPath.empty(); }

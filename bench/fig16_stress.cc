@@ -92,10 +92,9 @@ main(int argc, char **argv)
         configs.push_back(
             pointConfig(testbed::SystemMode::PmnetNic, clients));
     }
-    // Streaming histograms by default (millions of samples across the
-    // grid); `--exact` restores raw-sample collection.
+    // Streaming histograms: millions of samples across the grid.
     for (auto &config : configs)
-        config.statsMode = json.statsMode();
+        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

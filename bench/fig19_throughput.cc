@@ -79,10 +79,9 @@ main(int argc, char **argv)
                 spec, testbed::SystemMode::PmnetSwitch, ratio));
         }
     }
-    // Streaming histograms by default (millions of samples across the
-    // grid); `--exact` restores raw-sample collection.
+    // Streaming histograms: millions of samples across the grid.
     for (auto &config : configs)
-        config.statsMode = json.statsMode();
+        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::vector<double> mean_speedup(ratios.size(), 0.0);

@@ -90,18 +90,15 @@ main(int argc, char **argv)
             configs.push_back(pointConfig(
                 spec, testbed::SystemMode::PmnetSwitch, true, ratio));
         }
-        // Streaming histograms by default (the aggregated CDF is
-        // within the histogram's 0.4% error); `--exact` restores
-        // raw-sample collection.
+        // Streaming histograms: the aggregated CDF is within the
+        // histogram's 0.4% error.
         for (auto &config : configs)
-            config.statsMode = json.statsMode();
+            config.statsMode = StatsMode::Streaming;
         auto results =
             testbed::runSweep(std::move(configs), warmup, measure);
 
-        // Aggregate over the KV workloads as the figure does; merge
-        // adopts the per-run storage mode (raw append or histogram
-        // fold), so both --exact and streaming runs aggregate exactly
-        // as the figure did before.
+        // Aggregate over the KV workloads as the figure does; an empty
+        // series adopts the runs' streaming mode and folds histograms.
         LatencySeries base, pmnet, cached;
         std::size_t at = 0;
         for (std::size_t w = 0; w < workloads.size(); w++) {

@@ -109,7 +109,7 @@ main(int argc, char **argv)
             configs.push_back(pointConfig(clients, true, epoch_ops));
     }
     for (auto &config : configs)
-        config.statsMode = json.statsMode();
+        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

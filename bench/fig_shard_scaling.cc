@@ -113,7 +113,7 @@ main(int argc, char **argv)
                 pointConfig(shards, clients_per_shard, theta, gap));
     }
     for (auto &config : configs)
-        config.statsMode = json.statsMode();
+        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

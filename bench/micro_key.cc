@@ -5,28 +5,19 @@
  * intrusive LRU (pmnet::ReadCache), and the hash-prefiltered
  * persistent hashmap (kv::PmHashmap).
  *
- * Each fast path is benchmarked next to a faithful copy of the
- * pre-fast-path implementation — the std::unordered_map +
- * std::list<std::string> read cache and the crc32-bucketed hashmap
- * whose chain walk allocated a std::string per node comparison — so
- * one run of this binary yields the before/after table recorded in
- * EXPERIMENTS.md. The workload parameters are the cache/kv shapes the
- * figures run: bounded caches under churn, hashmap buckets dense
- * enough that chains actually walk.
+ * The workload parameters are the cache/kv shapes the figures run:
+ * bounded caches under churn, hashmap buckets dense enough that chains
+ * actually walk. EXPERIMENTS.md records the before/after table these
+ * benches were introduced with.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/key.h"
-#include "common/rng.h"
 #include "kv/hashmap.h"
-#include "kv/store_base.h"
 #include "pmnet/read_cache.h"
 
 namespace {
@@ -34,297 +25,10 @@ namespace {
 using namespace pmnet;
 
 // ------------------------------------------------------------------
-// Baseline copies of the pre-fast-path implementations. Kept verbatim
-// (modulo naming) so the speedup numbers compare against real history,
-// not a strawman.
-
-/** The string-keyed read cache: unordered_map + list LRU, one list
- *  node (and one string copy) allocated per touch. */
-class OldReadCache
-{
-  public:
-    using CacheState = pmnetdev::CacheState;
-
-    explicit OldReadCache(std::size_t capacity) : capacity_(capacity) {}
-
-    void
-    onUpdate(const std::string &key, const Bytes &value, bool logged)
-    {
-        Entry &entry = touch(key);
-        if (!logged) {
-            if (entry.state != CacheState::Invalid)
-                entry.state = CacheState::Stale;
-            else
-                entries_.erase(key), lru_.pop_front();
-            return;
-        }
-        switch (entry.state) {
-          case CacheState::Invalid:
-          case CacheState::Persisted:
-            entry.state = CacheState::Pending;
-            entry.value = value;
-            break;
-          case CacheState::Pending:
-            entry.state = CacheState::Stale;
-            entry.value.clear();
-            break;
-          case CacheState::Stale:
-            break;
-        }
-    }
-
-    void
-    onServerAck(const std::string &key)
-    {
-        auto it = entries_.find(key);
-        if (it == entries_.end())
-            return;
-        switch (it->second.state) {
-          case CacheState::Pending:
-            it->second.state = CacheState::Persisted;
-            break;
-          case CacheState::Stale:
-            it->second.state = CacheState::Invalid;
-            it->second.value.clear();
-            break;
-          case CacheState::Invalid:
-          case CacheState::Persisted:
-            break;
-        }
-    }
-
-    const Bytes *
-    lookup(const std::string &key)
-    {
-        auto it = entries_.find(key);
-        if (it == entries_.end() ||
-            (it->second.state != CacheState::Pending &&
-             it->second.state != CacheState::Persisted)) {
-            misses++;
-            return nullptr;
-        }
-        hits++;
-        Entry &entry = touch(key);
-        return &entry.value;
-    }
-
-    std::size_t size() const { return entries_.size(); }
-
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-
-  private:
-    struct Entry
-    {
-        CacheState state = CacheState::Invalid;
-        Bytes value;
-        std::list<std::string>::iterator lruPos;
-    };
-
-    Entry &
-    touch(const std::string &key)
-    {
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            lru_.erase(it->second.lruPos);
-            lru_.push_front(key);
-            it->second.lruPos = lru_.begin();
-            return it->second;
-        }
-        lru_.push_front(key);
-        Entry entry;
-        entry.lruPos = lru_.begin();
-        auto [pos, inserted] = entries_.emplace(key, std::move(entry));
-        (void)inserted;
-        evictIfNeeded();
-        return pos->second;
-    }
-
-    void
-    evictIfNeeded()
-    {
-        while (entries_.size() > capacity_ && !lru_.empty()) {
-            auto victim = lru_.end();
-            bool found = false;
-            for (auto it = std::prev(lru_.end()); it != lru_.begin();
-                 --it) {
-                auto entry_it = entries_.find(*it);
-                CacheState state = entry_it->second.state;
-                if (state == CacheState::Invalid ||
-                    state == CacheState::Persisted) {
-                    victim = it;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                break;
-            entries_.erase(*victim);
-            lru_.erase(victim);
-            evictions++;
-        }
-    }
-
-    std::size_t capacity_;
-    std::unordered_map<std::string, Entry> entries_;
-    std::list<std::string> lru_;
-};
-
-/** The pre-fast-path key comparison: materialize the stored key. */
-int
-oldCompareKey(const pm::PmHeap &heap, const std::string &key,
-              kv::BlobRef ref)
-{
-    std::string stored(ref.length, '\0');
-    if (ref.length > 0)
-        heap.read(ref.offset, stored.data(), ref.length);
-    return key.compare(stored) < 0 ? -1 : (key == stored ? 0 : 1);
-}
-
-/** The crc32-bucketed persistent hashmap without stored node hashes:
- *  every chain step pays a full (allocating) key comparison. */
-class OldPmHashmap : public kv::StoreBase
-{
-  public:
-    explicit OldPmHashmap(pm::PmHeap &heap, unsigned bucket_bits)
-        : StoreBase(heap, kv::KvKind::Hashmap)
-    {
-        bucketCount_ = 1ull << bucket_bits;
-        buckets_ = heap_.alloc(bucketCount_ * 8);
-        for (std::uint64_t i = 0; i < bucketCount_; i++)
-            heap_.writeObj<std::uint64_t>(buckets_ + 8 * i,
-                                          pm::kNullOffset);
-        heap_.flush(buckets_, bucketCount_ * 8);
-    }
-
-    /** KeyRef surface required by KvStore; the old structure has no
-     *  hash fast path, so both forms pay the full walk. */
-    void
-    put(KeyRef key, const Bytes &value) override
-    {
-        put(std::string(key.view()), value);
-    }
-
-    std::optional<Bytes>
-    get(KeyRef key) const override
-    {
-        return get(std::string(key.view()));
-    }
-
-    bool
-    erase(KeyRef key) override
-    {
-        return erase(std::string(key.view()));
-    }
-
-    void
-    put(const std::string &key, const Bytes &value)
-    {
-        std::uint64_t slot = bucketSlot(key);
-        pm::PmOffset cursor = heap_.readObj<std::uint64_t>(slot);
-
-        while (cursor != pm::kNullOffset) {
-            Node node = heap_.readObj<Node>(cursor);
-            if (oldCompareKey(heap_, key, node.key) == 0) {
-                pm::PmOffset old_val = node.valPtr;
-                pm::PmOffset new_val = kv::writeSizedBlob(heap_, value);
-                heap_.fence();
-                heap_.writeObj<std::uint64_t>(
-                    cursor + offsetof(Node, valPtr), new_val);
-                heap_.flush(cursor + offsetof(Node, valPtr), 8);
-                heap_.fence();
-                kv::freeSizedBlob(heap_, old_val);
-                return;
-            }
-            cursor = node.next;
-        }
-
-        pm::PmOffset head = heap_.readObj<std::uint64_t>(slot);
-        Node node;
-        node.key = kv::writeBlob(heap_, key);
-        node.valPtr = kv::writeSizedBlob(heap_, value);
-        node.next = head;
-        pm::PmOffset node_off = heap_.alloc(sizeof(Node));
-        heap_.writeObj(node_off, node);
-        heap_.flush(node_off, sizeof(Node));
-        heap_.fence();
-        heap_.writeObj<std::uint64_t>(slot, node_off);
-        heap_.flush(slot, 8);
-        heap_.fence();
-        bumpCount(+1);
-    }
-
-    std::optional<Bytes>
-    get(const std::string &key) const
-    {
-        pm::PmOffset cursor = heap_.readObj<std::uint64_t>(bucketSlot(key));
-        while (cursor != pm::kNullOffset) {
-            Node node = heap_.readObj<Node>(cursor);
-            if (oldCompareKey(heap_, key, node.key) == 0)
-                return kv::readSizedBlob(heap_, node.valPtr);
-            cursor = node.next;
-        }
-        return std::nullopt;
-    }
-
-    bool
-    erase(const std::string &key)
-    {
-        std::uint64_t prev_slot = bucketSlot(key);
-        pm::PmOffset cursor = heap_.readObj<std::uint64_t>(prev_slot);
-        while (cursor != pm::kNullOffset) {
-            Node node = heap_.readObj<Node>(cursor);
-            if (oldCompareKey(heap_, key, node.key) == 0) {
-                heap_.writeObj<std::uint64_t>(prev_slot, node.next);
-                heap_.flush(prev_slot, 8);
-                heap_.fence();
-                kv::freeBlob(heap_, node.key);
-                kv::freeSizedBlob(heap_, node.valPtr);
-                heap_.free(cursor, sizeof(Node));
-                bumpCount(-1);
-                return true;
-            }
-            prev_slot = cursor + offsetof(Node, next);
-            cursor = node.next;
-        }
-        return false;
-    }
-
-  private:
-    struct Node
-    {
-        kv::BlobRef key;
-        std::uint64_t valPtr;
-        std::uint64_t next;
-    };
-
-    std::uint64_t
-    bucketSlot(const std::string &key) const
-    {
-        std::uint32_t hash = crc32(key.data(), key.size());
-        return buckets_ + 8 * (hash & (bucketCount_ - 1));
-    }
-
-    void
-    bumpCount(std::int64_t delta)
-    {
-        kv::StoreHeader header = loadHeader();
-        header.count = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(header.count) + delta);
-        commitHeader(header);
-    }
-
-    std::uint64_t bucketCount_;
-    pm::PmOffset buckets_;
-};
-
-// ------------------------------------------------------------------
 // Workload shapes.
 
-/** Composite keys like real cache/kv traffic (no SSO for the long
- *  form, so baseline string materialization costs what it did in the
- *  figures). */
+/** Composite keys like real cache/kv traffic (the long form is past
+ *  the small-string buffer, as in the figures). */
 std::vector<std::string>
 makeKeys(std::size_t count, bool longKeys)
 {
@@ -357,25 +61,7 @@ const Bytes kValue(32, 0x5A);
 // Read-cache: lookup (hit + LRU touch) path.
 
 void
-BM_CacheLookupHit_Old(benchmark::State &state)
-{
-    auto keys = makeKeys(kCacheKeys, true);
-    OldReadCache cache(kCacheCapacity);
-    for (const auto &key : keys) {
-        cache.onUpdate(key, kValue, true);
-        cache.onServerAck(key);
-    }
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(cache.lookup(keys[i]));
-        i = (i + 1) & (kCacheKeys - 1);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheLookupHit_Old);
-
-void
-BM_CacheLookupHit_New(benchmark::State &state)
+BM_CacheLookupHit(benchmark::State &state)
 {
     auto keys = makeKeys(kCacheKeys, true);
     pmnetdev::ReadCache cache(kCacheCapacity);
@@ -392,28 +78,13 @@ BM_CacheLookupHit_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheLookupHit_New);
+BENCHMARK(BM_CacheLookupHit);
 
 // ------------------------------------------------------------------
 // Read-cache: update + server-ACK (T3 -> T2) touch cycle.
 
 void
-BM_CacheUpdateAck_Old(benchmark::State &state)
-{
-    auto keys = makeKeys(kCacheKeys, true);
-    OldReadCache cache(kCacheCapacity);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        cache.onUpdate(keys[i], kValue, true);
-        cache.onServerAck(keys[i]);
-        i = (i + 1) & (kCacheKeys - 1);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheUpdateAck_Old);
-
-void
-BM_CacheUpdateAck_New(benchmark::State &state)
+BM_CacheUpdateAck(benchmark::State &state)
 {
     auto keys = makeKeys(kCacheKeys, true);
     pmnetdev::ReadCache cache(kCacheCapacity);
@@ -426,28 +97,13 @@ BM_CacheUpdateAck_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheUpdateAck_New);
+BENCHMARK(BM_CacheUpdateAck);
 
 // ------------------------------------------------------------------
 // Read-cache: eviction churn (keyspace >> capacity).
 
 void
-BM_CacheChurn_Old(benchmark::State &state)
-{
-    auto keys = makeKeys(kCacheKeys, true);
-    OldReadCache cache(kChurnCapacity);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        cache.onUpdate(keys[i], kValue, true);
-        cache.onServerAck(keys[i]);
-        i = (i + 1) & (kCacheKeys - 1);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheChurn_Old);
-
-void
-BM_CacheChurn_New(benchmark::State &state)
+BM_CacheChurn(benchmark::State &state)
 {
     auto keys = makeKeys(kCacheKeys, true);
     pmnetdev::ReadCache cache(kChurnCapacity);
@@ -460,30 +116,13 @@ BM_CacheChurn_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheChurn_New);
+BENCHMARK(BM_CacheChurn);
 
 // ------------------------------------------------------------------
 // Persistent hashmap: get / put over dense buckets.
 
 void
-BM_HashmapGet_Old(benchmark::State &state)
-{
-    auto keys = makeKeys(kMapKeys, true);
-    pm::PmHeap heap(kHeapBytes);
-    OldPmHashmap map(heap, kMapBucketBits);
-    for (const auto &key : keys)
-        map.put(key, kValue);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(map.get(keys[i]));
-        i = (i + 1) & (kMapKeys - 1);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HashmapGet_Old);
-
-void
-BM_HashmapGet_New(benchmark::State &state)
+BM_HashmapGet(benchmark::State &state)
 {
     auto keys = makeKeys(kMapKeys, true);
     pm::PmHeap heap(kHeapBytes);
@@ -498,27 +137,10 @@ BM_HashmapGet_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashmapGet_New);
+BENCHMARK(BM_HashmapGet);
 
 void
-BM_HashmapPut_Old(benchmark::State &state)
-{
-    auto keys = makeKeys(kMapKeys, true);
-    pm::PmHeap heap(kHeapBytes);
-    OldPmHashmap map(heap, kMapBucketBits);
-    for (const auto &key : keys)
-        map.put(key, kValue);
-    std::size_t i = 0;
-    for (auto _ : state) {
-        map.put(keys[i], kValue); // in-place value replacement path
-        i = (i + 1) & (kMapKeys - 1);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HashmapPut_Old);
-
-void
-BM_HashmapPut_New(benchmark::State &state)
+BM_HashmapPut(benchmark::State &state)
 {
     auto keys = makeKeys(kMapKeys, true);
     pm::PmHeap heap(kHeapBytes);
@@ -532,29 +154,13 @@ BM_HashmapPut_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashmapPut_New);
+BENCHMARK(BM_HashmapPut);
 
 // ------------------------------------------------------------------
-// Raw table ops: FlatKeyTable vs unordered_map (string keys).
+// Raw table ops: FlatKeyTable find (string keys).
 
 void
-BM_TableFind_Old(benchmark::State &state)
-{
-    auto keys = makeKeys(kMapKeys, false);
-    std::unordered_map<std::string, std::uint64_t> table;
-    for (std::size_t i = 0; i < keys.size(); i++)
-        table[keys[i]] = i;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(table.find(keys[i]));
-        i = (i + 1) & (kMapKeys - 1);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TableFind_Old);
-
-void
-BM_TableFind_New(benchmark::State &state)
+BM_TableFind(benchmark::State &state)
 {
     auto keys = makeKeys(kMapKeys, false);
     FlatKeyTable<std::uint64_t> table;
@@ -571,7 +177,7 @@ BM_TableFind_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TableFind_New);
+BENCHMARK(BM_TableFind);
 
 } // namespace
 

@@ -2,19 +2,13 @@
  * @file
  * Google-benchmark microbenchmarks of the per-packet wire primitives
  * introduced by the data-plane fast path: slice-by-8 CRC-32, the
- * allocation-free header codec, and the streaming latency histogram.
- *
- * Each fast path is benchmarked next to a faithful copy of the
- * pre-fast-path implementation (byte-at-a-time table CRC, packed
- * host-order hash struct, allocating serialize, raw-sample series),
- * so one run of this binary yields the before/after table recorded in
- * EXPERIMENTS.md.
+ * allocation-free header codec, and the streaming latency histogram
+ * next to the raw-sample LatencySeries it replaced on the sweep
+ * benches. EXPERIMENTS.md records the before/after table these
+ * benches were introduced with.
  */
 
 #include <benchmark/benchmark.h>
-
-#include <array>
-#include <cstring>
 
 #include "common/crc32.h"
 #include "common/histogram.h"
@@ -25,117 +19,6 @@
 namespace {
 
 using namespace pmnet;
-
-// ------------------------------------------------------------------
-// Baseline copies of the pre-fast-path implementations. Kept verbatim
-// (modulo naming) so the speedup numbers compare against real history,
-// not a strawman.
-
-const std::array<std::uint32_t, 256> gByteTable = [] {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; i++) {
-        std::uint32_t c = i;
-        for (int bit = 0; bit < 8; bit++)
-            c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-        table[i] = c;
-    }
-    return table;
-}();
-
-std::uint32_t
-baselineCrc32(const void *data, std::size_t len)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint32_t crc = ~0u;
-    for (std::size_t i = 0; i < len; i++)
-        crc = gByteTable[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
-    return ~crc;
-}
-
-std::uint32_t
-baselineComputeHash(net::PacketType type, std::uint16_t session_id,
-                    std::uint32_t seq_num, net::NodeId src,
-                    net::NodeId dst)
-{
-    struct __attribute__((packed))
-    {
-        std::uint8_t type;
-        std::uint16_t session;
-        std::uint32_t seq;
-        std::uint32_t src;
-        std::uint32_t dst;
-    } fields{static_cast<std::uint8_t>(type), session_id, seq_num, src,
-             dst};
-    return baselineCrc32(&fields, sizeof(fields));
-}
-
-Bytes
-baselineSerializePayload(const net::Packet &pkt)
-{
-    // Pre-fast-path serialize: no reserve, per-field push_back growth.
-    Bytes out;
-    if (pkt.pmnet) {
-        out.push_back(static_cast<std::uint8_t>(pkt.pmnet->type));
-        out.push_back(static_cast<std::uint8_t>(pkt.pmnet->sessionId));
-        out.push_back(static_cast<std::uint8_t>(pkt.pmnet->sessionId >> 8));
-        for (int i = 0; i < 4; i++)
-            out.push_back(
-                static_cast<std::uint8_t>(pkt.pmnet->seqNum >> (8 * i)));
-        for (int i = 0; i < 4; i++)
-            out.push_back(
-                static_cast<std::uint8_t>(pkt.pmnet->hashVal >> (8 * i)));
-    }
-    out.insert(out.end(), pkt.payload.begin(), pkt.payload.end());
-    return out;
-}
-
-bool
-baselineParsePayload(net::Packet &pkt, const Bytes &wire)
-{
-    // Pre-fast-path parse: byte-at-a-time reads with a bounds check
-    // per byte, and an allocating readBytes for the payload.
-    struct Reader
-    {
-        const Bytes &buf;
-        std::size_t pos = 0;
-        bool ok = true;
-
-        std::uint8_t
-        u8()
-        {
-            if (!ok || buf.size() - pos < 1) {
-                ok = false;
-                return 0;
-            }
-            return buf[pos++];
-        }
-        std::uint16_t
-        u16()
-        {
-            std::uint16_t lo = u8(), hi = u8();
-            return static_cast<std::uint16_t>(lo | (hi << 8));
-        }
-        std::uint32_t
-        u32()
-        {
-            std::uint32_t lo = u16(), hi = u16();
-            return lo | (hi << 16);
-        }
-    } reader{wire};
-
-    net::PmnetHeader header;
-    std::uint8_t raw_type = reader.u8();
-    header.sessionId = reader.u16();
-    header.seqNum = reader.u32();
-    header.hashVal = reader.u32();
-    if (!reader.ok || raw_type < 1 || raw_type > 9)
-        return false;
-    header.type = static_cast<net::PacketType>(raw_type);
-    pkt.pmnet = header;
-    pkt.payload = Bytes(wire.begin() + static_cast<std::ptrdiff_t>(reader.pos),
-                        wire.end());
-    return true;
-}
 
 net::Packet
 updatePacket(std::size_t payload_size)
@@ -155,7 +38,7 @@ updatePacket(std::size_t payload_size)
 }
 
 // ------------------------------------------------------------------
-// CRC-32 throughput: slice-by-8 vs byte-at-a-time vs bitwise.
+// CRC-32 throughput: slice-by-8 vs the bitwise test oracle.
 
 void
 BM_Crc32SliceBy8(benchmark::State &state)
@@ -166,17 +49,6 @@ BM_Crc32SliceBy8(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32SliceBy8)->Arg(15)->Arg(64)->Arg(256)->Arg(1500)->Arg(65536);
-
-void
-BM_Crc32ByteTableBaseline(benchmark::State &state)
-{
-    Bytes data(static_cast<std::size_t>(state.range(0)), 0x5C);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(baselineCrc32(data.data(), data.size()));
-    state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Crc32ByteTableBaseline)
-    ->Arg(15)->Arg(64)->Arg(256)->Arg(1500)->Arg(65536);
 
 void
 BM_Crc32BitwiseReference(benchmark::State &state)
@@ -221,28 +93,6 @@ BM_HeaderRoundTrip(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HeaderRoundTrip)->Arg(0)->Arg(100)->Arg(1000);
-
-void
-BM_HeaderRoundTripBaseline(benchmark::State &state)
-{
-    net::Packet pkt = updatePacket(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        pkt.pmnet->hashVal = baselineComputeHash(
-            pkt.pmnet->type, pkt.pmnet->sessionId, pkt.pmnet->seqNum,
-            pkt.src, pkt.dst);
-        Bytes wire = baselineSerializePayload(pkt);
-        net::Packet rebuilt;
-        rebuilt.src = pkt.src;
-        rebuilt.dst = pkt.dst;
-        benchmark::DoNotOptimize(baselineParsePayload(rebuilt, wire));
-        benchmark::DoNotOptimize(
-            baselineComputeHash(rebuilt.pmnet->type,
-                                rebuilt.pmnet->sessionId,
-                                rebuilt.pmnet->seqNum, rebuilt.src,
-                                rebuilt.dst) == rebuilt.pmnet->hashVal);
-    }
-}
-BENCHMARK(BM_HeaderRoundTripBaseline)->Arg(0)->Arg(100)->Arg(1000);
 
 // ------------------------------------------------------------------
 // Streaming histogram vs raw-sample LatencySeries.

@@ -7,17 +7,25 @@
  * counts every persist boundary (PmHeap::PersistBoundary — flush
  * entry, fence entry, fence retire) the sequence crosses, then
  * re-executes it once per boundary, crashing exactly there and
- * recovering via openKvStore(). After each crash it checks:
+ * recovering via openKvStore(). Each op is acked at the configured ack
+ * point: when it returns (per-op fencing), or when the fence of the
+ * pm::CommitEpoch batch covering it retires (group commit). After each
+ * crash it checks:
  *
- *  - the recovered content equals the reference state either before
- *    or after the in-flight operation (atomicity: the op happened
- *    entirely or not at all — which of the two is decided by probing
- *    the in-flight key, whose per-step values are unique);
+ *  - the recovered content equals the reference state after the
+ *    applied prefix, with the op in flight (if any) either entirely
+ *    there or entirely absent — which of the two is decided by probing
+ *    its key, whose per-step values are unique; acked ops are a subset
+ *    of that prefix, so no acked op is lost;
  *  - the persisted element count tracks the content within the
  *    documented +/-1 count-lag window (structures that commit the
  *    count in a separate fence after the linearization swap);
- *  - resuming the remaining operations on the recovered store ends in
- *    exactly the no-crash final state.
+ *  - resending everything past the acked watermark — the client-retry
+ *    contract — ends in exactly the no-crash final state.
+ *
+ * In group-commit mode an ack is also a violation when no fence has
+ * retired since its op returned, and a crash must roll the open batch
+ * back without running any of its completions.
  *
  * This is the Correct/NearPM-style "crash at every ordering point"
  * methodology applied to all six backends, instead of the random
@@ -57,6 +65,14 @@ struct CrashMatrixConfig
      * CI --smoke mode).
      */
     int maxCrashes = 0;
+    /**
+     * Ack point. 0 acks each op when it returns. N > 0 stages each
+     * op's ack into a pm::CommitEpoch that closes every N ops (and
+     * once more after the last op) on a real PmHeap::fence(), and
+     * releases it when that fence has retired; crashes then also land
+     * inside open epochs and inside the batch fence itself.
+     */
+    std::uint32_t epochOps = 0;
 };
 
 /** Outcome of one sweep. */
@@ -72,59 +88,19 @@ struct CrashMatrixResult
      * not a violation.
      */
     std::size_t countLagObserved = 0;
-    InvariantReport report;
-};
-
-/** Run the sweep; result.report.clean() means all invariants held. */
-CrashMatrixResult runCrashMatrix(const CrashMatrixConfig &config);
-
-/**
- * Parameters of one group-commit crash sweep.
- *
- * Same recorded sequence as the base matrix, but every applied op is
- * staged into a pm::CommitEpoch whose fence hook is the real
- * PmHeap::fence(), and its "ack" (completion) is held until the
- * epoch closes. Crashing at every persist boundary therefore also
- * lands inside open epochs and inside the epoch's own batch fence.
- */
-struct GroupCommitMatrixConfig
-{
-    kv::KvKind kind = kv::KvKind::Hashmap;
-    std::uint64_t seed = 1;
-    int opCount = 48;
-    int keyCount = 10;
-    std::uint64_t heapBytes = 8ull << 20;
-    /** 0 = exhaustive; N > 0 spreads N crashes evenly (--smoke). */
-    int maxCrashes = 0;
-    /** Epoch close threshold in ops (the group-commit batch size). */
-    std::uint32_t epochOps = 4;
-};
-
-/** Outcome of one group-commit sweep. */
-struct GroupCommitMatrixResult
-{
-    std::size_t boundaries = 0;
-    std::size_t crashesInjected = 0;
-    /** Epochs the no-crash run closed (ops thresholds + final drain). */
+    /** Epochs the no-crash run closed (0 in per-op mode). */
     std::size_t epochsClosed = 0;
     /** Acks the no-crash run released (must equal opCount). */
     std::size_t acksReleased = 0;
     /** Crashes that landed with applied-but-unacked ops outstanding. */
     std::size_t midEpochCrashes = 0;
-    /** Staged-unfenced completions rolled back across all crashes. */
+    /** Staged-unfenced acks rolled back across all crashes. */
     std::size_t opsAbandoned = 0;
     InvariantReport report;
 };
 
-/**
- * Sweep crashes across every persist boundary of the group-commit
- * execution. After each crash: no acked op may be lost, staged batch
- * remnants must roll back (abandon, never complete), and replaying
- * from the acked watermark — the client-retry contract: unacked ops
- * are resent — must converge to the no-crash final state.
- */
-GroupCommitMatrixResult
-runGroupCommitMatrix(const GroupCommitMatrixConfig &config);
+/** Run the sweep; result.report.clean() means all invariants held. */
+CrashMatrixResult runCrashMatrix(const CrashMatrixConfig &config);
 
 } // namespace pmnet::fault
 

@@ -104,7 +104,7 @@ struct FaultAction
     /** Impair only (appended so older aggregate initializers keep
      *  their meaning): direction selector and the channel itself. */
     Dir dir = Dir::Both;
-    net::Impairment impair;
+    net::Impairment impair{};
 };
 
 /** A named, ordered fault schedule. */

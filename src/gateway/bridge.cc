@@ -49,7 +49,7 @@ GatewayBridge::receive(PacketPtr pkt, int in_port)
             return;
         }
 
-        if (obs::kTracingCompiledIn && recorder_ && pkt->requestId != 0) {
+        if (recorder_ && pkt->requestId != 0) {
             PacketType type = pkt->pmnet->type;
             if (type == PacketType::PmnetAck ||
                 type == PacketType::ServerAck ||
@@ -94,7 +94,7 @@ GatewayBridge::onDatagram(const Endpoint &from, const std::uint8_t *data,
                           header.type == PacketType::NearDataReq;
         if (is_request) {
             pkt->requestId = syntheticRequestId(header);
-            if (obs::kTracingCompiledIn && recorder_)
+            if (recorder_)
                 recorder_->begin(pkt->requestId, header.sessionId,
                                  header.seqNum,
                                  header.type != PacketType::BypassReq,

@@ -33,7 +33,7 @@ BasicSwitch::receive(PacketPtr pkt, int in_port)
 {
     (void)in_port;
     forwarded_++;
-    if (obs::kTracingCompiledIn && recorder_ && pkt->isPmnet() &&
+    if (recorder_ && pkt->isPmnet() &&
         (pkt->pmnet->type == PacketType::UpdateReq ||
          pkt->pmnet->type == PacketType::BypassReq))
         recorder_->stampAt(pkt->requestId, obs::Stamp::SwitchIngress,

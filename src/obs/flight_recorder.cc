@@ -180,8 +180,6 @@ FlightRecorder::lookup(std::uint64_t request_id)
     return &slots_[static_cast<std::size_t>(table_[i])];
 }
 
-#ifndef PMNET_OBS_NO_TRACING
-
 void
 FlightRecorder::begin(std::uint64_t request_id, std::uint16_t session,
                       std::uint32_t first_seq, bool is_update, Tick now,
@@ -251,8 +249,6 @@ FlightRecorder::complete(std::uint64_t request_id, Tick now,
         accum_.totalLatency += trace->endToEnd();
     }
 }
-
-#endif // !PMNET_OBS_NO_TRACING
 
 const RequestTrace *
 FlightRecorder::find(std::uint64_t request_id) const

@@ -50,9 +50,8 @@
  *
  * Hot-path cost: begin/stamp/complete are allocation-free (slab +
  * open-addressing index, both sized at construction) and O(1); a
- * disabled recorder costs one predictable branch. Defining
- * PMNET_OBS_NO_TRACING compiles the three hooks down to empty
- * inlines for a zero-cost build.
+ * component without a recorder pays one predictable null test per
+ * hook (bench/micro_obs measures it).
  */
 
 #ifndef PMNET_OBS_FLIGHT_RECORDER_H
@@ -84,13 +83,6 @@ enum class Stamp : std::uint8_t {
 };
 
 inline constexpr std::size_t kStampCount = 12;
-
-/** True when stamp hooks are compiled in (see PMNET_OBS_NO_TRACING). */
-#ifdef PMNET_OBS_NO_TRACING
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
 
 /** The five-way latency decomposition of one request (Fig 15/16). */
 struct Breakdown
@@ -178,12 +170,6 @@ class FlightRecorder
     void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-#ifdef PMNET_OBS_NO_TRACING
-    void begin(std::uint64_t, std::uint16_t, std::uint32_t, bool, Tick,
-               std::uint16_t = 0) {}
-    void stampAt(std::uint64_t, Stamp, Tick) {}
-    void complete(std::uint64_t, Tick, bool) {}
-#else
     /**
      * Open a trace for @p request_id and record ClientSend at @p now.
      * Evicts the oldest trace when the slab is full (wrap-around).
@@ -207,7 +193,6 @@ class FlightRecorder
      * on — fold its breakdown into the window accumulator.
      */
     void complete(std::uint64_t request_id, Tick now, bool by_pmnet_ack);
-#endif
 
     /** @name Measurement-window aggregation
      *  @{

@@ -69,7 +69,7 @@ PmnetDevice::process(PacketPtr pkt)
         return;
     }
 
-    if (obs::kTracingCompiledIn && recorder_ &&
+    if (recorder_ &&
         (pkt->pmnet->type == PacketType::UpdateReq ||
          pkt->pmnet->type == PacketType::NearDataReq ||
          pkt->pmnet->type == PacketType::BypassReq))
@@ -246,7 +246,7 @@ PmnetDevice::tryLogAndAck(const PacketPtr &pkt)
             return LogAttempt::Duplicate;
         stats_.updatesReAcked++;
         stats_.acksSent++;
-        if (obs::kTracingCompiledIn && recorder_) {
+        if (recorder_) {
             recorder_->stampAt(pkt->requestId, obs::Stamp::PersistStage,
                                now());
             recorder_->stampAt(pkt->requestId, obs::Stamp::PersistDone,
@@ -277,7 +277,7 @@ PmnetDevice::tryLogAndAck(const PacketPtr &pkt)
         return LogAttempt::Bypassed;
     }
     if (auto done = writeQueue_.admitWrite(pkt->wireSize(), now())) {
-        if (obs::kTracingCompiledIn && recorder_)
+        if (recorder_)
             recorder_->stampAt(pkt->requestId, obs::Stamp::PersistStart,
                                now());
         inflightLogWrites_.push_back(header.hashVal);
@@ -294,7 +294,7 @@ PmnetDevice::tryLogAndAck(const PacketPtr &pkt)
                 return;
             }
             stats_.updatesLogged++;
-            if (obs::kTracingCompiledIn && recorder_)
+            if (recorder_)
                 recorder_->stampAt(pkt->requestId,
                                    obs::Stamp::PersistStage, now());
             finishLoggedWrite(pkt);
@@ -311,7 +311,7 @@ PmnetDevice::sendPmnetAck(const PacketPtr &pkt)
 {
     const net::PmnetHeader &h = *pkt->pmnet;
     stats_.acksSent++;
-    if (obs::kTracingCompiledIn && recorder_)
+    if (recorder_)
         recorder_->stampAt(pkt->requestId, obs::Stamp::PersistDone,
                            now());
     traceEvent("logged+ack", *pkt);

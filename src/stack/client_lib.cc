@@ -83,7 +83,7 @@ ClientLib::sendUpdate(Bytes payload, std::uint64_t key_hash,
     ShardSeq &seqs = shardSeqs_[shard];
 
     std::uint64_t request_id = newRequestId(shard);
-    if (obs::kTracingCompiledIn && recorder_)
+    if (recorder_)
         recorder_->begin(request_id, config_.sessionId, seqs.nextUpdate,
                          true, host_.simulator().now(), shard);
     Request req;
@@ -149,7 +149,7 @@ ClientLib::bypass(Bytes payload, std::uint64_t key_hash, BypassDone done)
 
     std::uint64_t request_id = newRequestId(shard);
     std::uint32_t seq = seqs.nextBypass++;
-    if (obs::kTracingCompiledIn && recorder_)
+    if (recorder_)
         recorder_->begin(request_id, config_.sessionId, seq, false,
                          host_.simulator().now(), shard);
     PacketPtr pkt = net::makePmnetPacket(host_.id(), serverFor(shard),
@@ -196,7 +196,7 @@ ClientLib::sendNearData(Bytes payload, std::uint64_t key_hash,
     // Near-data requests are update-class: they consume the update
     // sequence space so the server's redo log stays contiguous.
     std::uint32_t seq = seqs.nextUpdate++;
-    if (obs::kTracingCompiledIn && recorder_)
+    if (recorder_)
         recorder_->begin(request_id, config_.sessionId, seq, true,
                          host_.simulator().now(), shard);
     PacketPtr pkt = net::makePmnetPacket(host_.id(), serverFor(shard),
@@ -390,7 +390,7 @@ ClientLib::maybeComplete(std::uint64_t request_id)
         stats_.bypassCompleted++;
     }
 
-    if (obs::kTracingCompiledIn && recorder_)
+    if (recorder_)
         recorder_->complete(request_id, host_.simulator().now(),
                             by_pmnet_ack);
 

@@ -57,7 +57,7 @@ Host::appSend(std::vector<net::PacketPtr> pkts)
             if (epoch != epoch_ || !isUp())
                 return;
             sent_++;
-            if (obs::kTracingCompiledIn && recorder_ && pkt->isPmnet() &&
+            if (recorder_ && pkt->isPmnet() &&
                 (pkt->pmnet->type == net::PacketType::UpdateReq ||
                  pkt->pmnet->type == net::PacketType::BypassReq))
                 recorder_->stampAt(pkt->requestId, obs::Stamp::ClientTx,
@@ -71,7 +71,7 @@ void
 Host::receive(net::PacketPtr pkt, int in_port)
 {
     (void)in_port;
-    if (obs::kTracingCompiledIn && recorder_) {
+    if (recorder_) {
         obs::Stamp stamp;
         if (arrivalStampFor(*pkt, &stamp))
             recorder_->stampAt(pkt->requestId, stamp, now());

@@ -430,7 +430,7 @@ ServerLib::pump()
         busyWorkers_++;
         ReadyRequest req = std::move(session.ready.front());
         session.ready.pop_front();
-        if (obs::kTracingCompiledIn && recorder_)
+        if (recorder_)
             recorder_->stampAt(req.requestId, obs::Stamp::ServerStart,
                                host_.simulator().now());
 
@@ -485,7 +485,7 @@ ServerLib::finishRequest(std::uint16_t sid, const ReadyRequest &req,
     Session &session = sessionSlot(sid);
     session.busy = false;
     busyWorkers_--;
-    if (obs::kTracingCompiledIn && recorder_)
+    if (recorder_)
         recorder_->stampAt(req.requestId, obs::Stamp::ServerEnd,
                            host_.simulator().now());
 

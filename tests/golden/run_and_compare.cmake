@@ -1,8 +1,7 @@
 # Run a bench binary in --smoke --json mode and require its output to
-# be byte-identical to a checked-in golden file. Used by the
-# golden-fig16/golden-fig20 CTests to pin the promise that the
-# observability redesign (with tracing disabled, the default) changes
-# no measured byte of the figure pipeline.
+# be byte-identical to a checked-in golden file. Used by the golden-*
+# CTests (the pin table in bench/CMakeLists.txt): a change that moves
+# any modeled number of a pinned figure fails them.
 #
 # Usage:
 #   cmake -DBIN=<bench> -DOUT=<tmp.json> -DGOLDEN=<golden.json>

@@ -3,7 +3,8 @@
  * Fault-injection subsystem tests (DESIGN.md section 10):
  *
  *  - the exhaustive persist-boundary crash matrix over all six KV
- *    backends (zero invariant violations at every boundary);
+ *    backends, with per-op and group-commit acks (zero invariant
+ *    violations at every boundary);
  *  - PmHeap crash/staging-arena pinning: a crash discards
  *    staged-but-unfenced ranges, clears the boundary hook and bumps
  *    the crash epoch;
@@ -31,12 +32,9 @@ using fault::FaultAction;
 using fault::FaultPlan;
 using fault::FaultRunConfig;
 using fault::FaultRunner;
-using fault::GroupCommitMatrixConfig;
-using fault::GroupCommitMatrixResult;
 using fault::InjectedCrash;
 using fault::InvariantReport;
 using fault::runCrashMatrix;
-using fault::runGroupCommitMatrix;
 
 // ------------------------------------------------- crash matrix sweep
 
@@ -88,13 +86,13 @@ class GroupCommitMatrixTest : public ::testing::TestWithParam<kv::KvKind>
 
 TEST_P(GroupCommitMatrixTest, ExhaustiveSweepAtEpochBoundaries)
 {
-    GroupCommitMatrixConfig config;
+    CrashMatrixConfig config;
     config.kind = GetParam();
     config.seed = 7;
     config.opCount = 36;
     config.keyCount = 8;
     config.epochOps = 4;
-    GroupCommitMatrixResult result = runGroupCommitMatrix(config);
+    CrashMatrixResult result = runCrashMatrix(config);
 
     EXPECT_GT(result.boundaries, 0u);
     EXPECT_EQ(result.crashesInjected, result.boundaries);
@@ -112,19 +110,46 @@ TEST_P(GroupCommitMatrixTest, SingleOpEpochsDegenerateToPerOpFencing)
     // epochOps == 1 means every stage closes immediately: the sweep
     // must still hold with zero held acks at any boundary inside an
     // apply (the only mid-epoch window left is the batch fence).
-    GroupCommitMatrixConfig config;
+    CrashMatrixConfig config;
     config.kind = GetParam();
     config.seed = 3;
     config.opCount = 16;
     config.keyCount = 6;
     config.epochOps = 1;
     config.maxCrashes = 12;
-    GroupCommitMatrixResult result = runGroupCommitMatrix(config);
+    CrashMatrixResult result = runCrashMatrix(config);
 
     EXPECT_LE(result.crashesInjected, 12u);
     EXPECT_GT(result.crashesInjected, 0u);
     EXPECT_EQ(result.epochsClosed, 16u);
     EXPECT_TRUE(result.report.clean()) << result.report.text();
+}
+
+TEST_P(GroupCommitMatrixTest, BatchFencesAreTheOnlyBoundariesAdded)
+{
+    // One recorded sequence swept in both ack modes. Every KV op
+    // fences its own writes, so group commit adds only the batch
+    // fences, one Fence and one FenceRetire per closed epoch, and
+    // crashes there land between ops, where no count lags.
+    CrashMatrixConfig config;
+    config.kind = GetParam();
+    config.seed = 5;
+    config.opCount = 30;
+    config.keyCount = 8;
+    CrashMatrixResult per_op = runCrashMatrix(config);
+    config.epochOps = 4;
+    CrashMatrixResult grouped = runCrashMatrix(config);
+
+    EXPECT_EQ(per_op.epochsClosed, 0u);
+    EXPECT_EQ(grouped.epochsClosed, 8u) << "7 full epochs + the drain";
+    EXPECT_EQ(grouped.boundaries,
+              per_op.boundaries + 2 * grouped.epochsClosed);
+    EXPECT_EQ(grouped.countLagObserved, per_op.countLagObserved);
+    for (const CrashMatrixResult *result : {&per_op, &grouped}) {
+        EXPECT_EQ(result->acksReleased, 30u);
+        EXPECT_EQ(result->crashesInjected, result->boundaries);
+        EXPECT_TRUE(result->report.clean()) << result->report.text();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -314,11 +339,13 @@ TEST(FaultPlanTest, ServerPowerCutDuringBurstWithDuplicateDelivery)
     // the client retransmit an already-logged (acked-at-device)
     // update — the duplicate-delivery case.
     plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(120), 0, 0.0, 3,
-         false, 0, FaultAction::Where::DeviceClientSide});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(400), microseconds(500), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+        {.kind = FaultAction::Kind::DropNext,
+         .at = microseconds(120),
+         .count = 3,
+         .where = FaultAction::Where::DeviceClientSide});
+    plan.actions.push_back({.kind = FaultAction::Kind::ServerPowerCut,
+                            .at = microseconds(400),
+                            .duration = microseconds(500)});
 
     FaultRunner runner(planConfig());
     const InvariantReport &report = runner.run(plan);
@@ -341,9 +368,10 @@ TEST(FaultPlanTest, DeviceReplacementInReplicationChain)
 {
     FaultPlan plan;
     plan.name = "chain-device-replace";
-    plan.actions.push_back({FaultAction::Kind::DeviceReplace,
-                            microseconds(450), 0, 0.0, 0, false, 0,
-                            FaultAction::Where::DeviceClientSide});
+    plan.actions.push_back(
+        {.kind = FaultAction::Kind::DeviceReplace,
+         .at = microseconds(450),
+         .where = FaultAction::Where::DeviceClientSide});
 
     FaultRunner runner(planConfig(/*replication=*/2, /*cache=*/false));
     const InvariantReport &report = runner.run(plan);
@@ -355,9 +383,10 @@ TEST(FaultPlanTest, LossBurstTowardServer)
 {
     FaultPlan plan;
     plan.name = "loss-burst";
-    plan.actions.push_back({FaultAction::Kind::LossBurst,
-                            microseconds(100), microseconds(600), 0.25, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+    plan.actions.push_back({.kind = FaultAction::Kind::LossBurst,
+                            .at = microseconds(100),
+                            .duration = microseconds(600),
+                            .lossRate = 0.25});
 
     FaultRunner runner(planConfig());
     const InvariantReport &report = runner.run(plan);
@@ -369,15 +398,17 @@ TEST(FaultPlanTest, DeterministicReports)
 {
     FaultPlan plan;
     plan.name = "determinism";
-    plan.actions.push_back({FaultAction::Kind::LossBurst,
-                            microseconds(100), microseconds(500), 0.3, 0,
-                            false, 0, FaultAction::Where::ServerLink});
-    plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(300), 0, 0.0, 2, true,
-         0, FaultAction::Where::ServerLink});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(700), microseconds(300), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+    plan.actions.push_back({.kind = FaultAction::Kind::LossBurst,
+                            .at = microseconds(100),
+                            .duration = microseconds(500),
+                            .lossRate = 0.3});
+    plan.actions.push_back({.kind = FaultAction::Kind::DropNext,
+                            .at = microseconds(300),
+                            .count = 2,
+                            .towardServer = true});
+    plan.actions.push_back({.kind = FaultAction::Kind::ServerPowerCut,
+                            .at = microseconds(700),
+                            .duration = microseconds(300)});
 
     FaultRunner first(planConfig());
     FaultRunner second(planConfig());

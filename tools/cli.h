@@ -1,16 +1,13 @@
 /**
  * @file
- * Shared command-line parsing for the repo's executables (tools and
- * bench binaries). Before this existed, pmnet_sim, fault_matrix and
- * BenchJson each hand-rolled the same loop with slightly different
- * error behaviour; cli::ArgParser gives them one option table, one
- * --help format and one unknown-option diagnostic.
+ * Shared command-line parsing for the repo's executables (the tools
+ * and the bench binaries): one option table, one --help format and one
+ * unknown-option diagnostic.
  *
  * The common observability flags are standardized here too:
  *
  *   --seed N    RNG seed
  *   --smoke     shrunken fast-CI variant of the run
- *   --exact     exact (raw-sample) latency stats instead of streaming
  *   --json      emit the obs::Snapshot to stdout        (tools)
  *   --json P    mirror rows into a JSON array at path P (benches)
  *
@@ -198,7 +195,6 @@ struct CommonOptions
 {
     std::uint64_t seed = 42;
     bool smoke = false;
-    bool exact = false;
     bool json = false;      ///< --json as a switch (snapshot to stdout)
     std::string jsonPath;   ///< --json <path> (bench row files)
 };
@@ -214,13 +210,6 @@ addSmoke(ArgParser &parser, CommonOptions &opts)
 {
     parser.flag("--smoke", "fast CI variant (shrunken run)",
                 &opts.smoke);
-}
-
-inline void
-addExact(ArgParser &parser, CommonOptions &opts)
-{
-    parser.flag("--exact", "exact raw-sample latency stats",
-                &opts.exact);
 }
 
 /** Tools: --json prints the obs::Snapshot to stdout. */

@@ -4,15 +4,16 @@
  * (src/fault/crash_matrix.h).
  *
  * Sweeps every persist boundary of a recorded KV op sequence for one
- * backend (or all six), crashing and recovering at each, and prints a
- * per-backend summary line with the invariant verdict and wall-clock
- * time. Exits non-zero if any sweep reports a violation, so CI can
- * gate on it directly.
+ * backend (or all six), crashing and recovering at each, and prints
+ * one summary line per backend and ack mode with the invariant verdict
+ * and wall-clock time. Exits non-zero if any sweep reports a
+ * violation, so CI can gate on it directly.
  *
  * Examples:
- *   fault_matrix                       # exhaustive, all backends
+ *   fault_matrix                       # exhaustive, per-op acks
+ *   fault_matrix --epoch-ops 4         # ... and group commit (CI gate)
  *   fault_matrix --backend btree --ops 64
- *   fault_matrix --smoke               # capped sweep for the fast CI job
+ *   fault_matrix --smoke               # capped sweep (schema ctest)
  *   fault_matrix --json                # obs::Snapshot on stdout
  */
 
@@ -109,6 +110,12 @@ main(int argc, char **argv)
         kinds = {parseBackend(opt.backend)};
     }
 
+    // Per-op acks always; with --epoch-ops, the same sequence again
+    // with acks riding group-commit batches of that size.
+    std::vector<std::uint32_t> ack_modes = {0};
+    if (opt.epochOps > 0)
+        ack_modes.push_back(static_cast<std::uint32_t>(opt.epochOps));
+
     bool all_clean = true;
     if (!opt.common.json)
         std::printf("%-10s %-13s %10s %10s %10s %9s  %s\n", "backend",
@@ -117,96 +124,59 @@ main(int argc, char **argv)
 
     obs::Json sweeps = obs::Json::array();
     for (kv::KvKind kind : kinds) {
-        fault::CrashMatrixConfig config;
-        config.kind = kind;
-        config.seed = opt.common.seed;
-        config.opCount = opt.ops;
-        config.keyCount = opt.keys;
-        config.maxCrashes = opt.maxCrashes;
+        for (std::uint32_t epoch_ops : ack_modes) {
+            fault::CrashMatrixConfig config;
+            config.kind = kind;
+            config.seed = opt.common.seed;
+            config.opCount = opt.ops;
+            config.keyCount = opt.keys;
+            config.maxCrashes = opt.maxCrashes;
+            config.epochOps = epoch_ops;
 
-        auto start = std::chrono::steady_clock::now();
-        fault::CrashMatrixResult result = fault::runCrashMatrix(config);
-        auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+            auto start = std::chrono::steady_clock::now();
+            fault::CrashMatrixResult result = fault::runCrashMatrix(config);
+            auto wall =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
 
-        bool clean = result.report.clean();
-        all_clean = all_clean && clean;
-        if (opt.common.json) {
-            obs::Json row = obs::Json::object();
-            row.set("backend", kv::kvKindName(kind));
-            row.set("mode", "per-op");
-            row.set("boundaries",
-                    static_cast<std::uint64_t>(result.boundaries));
-            row.set("crashes", static_cast<std::uint64_t>(
-                                   result.crashesInjected));
-            row.set("count_lag", static_cast<std::uint64_t>(
-                                     result.countLagObserved));
-            row.set("wall_ms", static_cast<std::int64_t>(wall));
-            row.set("clean", clean);
-            sweeps.push(std::move(row));
-        } else {
-            std::printf("%-10s %-13s %10zu %10zu %10zu %9lld  %s\n",
-                        kv::kvKindName(kind), "per-op",
-                        result.boundaries, result.crashesInjected,
-                        result.countLagObserved,
-                        static_cast<long long>(wall),
-                        clean ? "clean" : "VIOLATIONS");
+            const char *mode = epoch_ops == 0 ? "per-op" : "group-commit";
+            bool clean = result.report.clean();
+            all_clean = all_clean && clean;
+            if (opt.common.json) {
+                obs::Json row = obs::Json::object();
+                row.set("backend", kv::kvKindName(kind));
+                row.set("mode", mode);
+                row.set("boundaries",
+                        static_cast<std::uint64_t>(result.boundaries));
+                row.set("crashes", static_cast<std::uint64_t>(
+                                       result.crashesInjected));
+                row.set("count_lag", static_cast<std::uint64_t>(
+                                         result.countLagObserved));
+                if (epoch_ops > 0) {
+                    row.set("epoch_ops", epoch_ops);
+                    row.set("epochs_closed", static_cast<std::uint64_t>(
+                                                 result.epochsClosed));
+                    row.set("mid_epoch_crashes",
+                            static_cast<std::uint64_t>(
+                                result.midEpochCrashes));
+                    row.set("ops_abandoned", static_cast<std::uint64_t>(
+                                                 result.opsAbandoned));
+                }
+                row.set("wall_ms", static_cast<std::int64_t>(wall));
+                row.set("clean", clean);
+                sweeps.push(std::move(row));
+            } else {
+                std::printf("%-10s %-13s %10zu %10zu %10zu %9lld  %s\n",
+                            kv::kvKindName(kind), mode, result.boundaries,
+                            result.crashesInjected,
+                            result.countLagObserved,
+                            static_cast<long long>(wall),
+                            clean ? "clean" : "VIOLATIONS");
+            }
+            if (!clean)
+                std::fputs(result.report.text().c_str(), stderr);
         }
-        if (!clean)
-            std::fputs(result.report.text().c_str(), stderr);
-
-        if (opt.epochOps <= 0)
-            continue;
-
-        // Same sequence, but acks ride an epoch-ops group-commit
-        // batch: crashes now also land inside open epochs and the
-        // batch fence itself.
-        fault::GroupCommitMatrixConfig gc_config;
-        gc_config.kind = kind;
-        gc_config.seed = opt.common.seed;
-        gc_config.opCount = opt.ops;
-        gc_config.keyCount = opt.keys;
-        gc_config.maxCrashes = opt.maxCrashes;
-        gc_config.epochOps = static_cast<std::uint32_t>(opt.epochOps);
-
-        start = std::chrono::steady_clock::now();
-        fault::GroupCommitMatrixResult gc_result =
-            fault::runGroupCommitMatrix(gc_config);
-        wall = std::chrono::duration_cast<std::chrono::milliseconds>(
-                   std::chrono::steady_clock::now() - start)
-                   .count();
-
-        bool gc_clean = gc_result.report.clean();
-        all_clean = all_clean && gc_clean;
-        if (opt.common.json) {
-            obs::Json row = obs::Json::object();
-            row.set("backend", kv::kvKindName(kind));
-            row.set("mode", "group-commit");
-            row.set("boundaries",
-                    static_cast<std::uint64_t>(gc_result.boundaries));
-            row.set("crashes", static_cast<std::uint64_t>(
-                                   gc_result.crashesInjected));
-            row.set("epoch_ops", opt.epochOps);
-            row.set("epochs_closed", static_cast<std::uint64_t>(
-                                         gc_result.epochsClosed));
-            row.set("mid_epoch_crashes",
-                    static_cast<std::uint64_t>(
-                        gc_result.midEpochCrashes));
-            row.set("ops_abandoned", static_cast<std::uint64_t>(
-                                         gc_result.opsAbandoned));
-            row.set("wall_ms", static_cast<std::int64_t>(wall));
-            row.set("clean", gc_clean);
-            sweeps.push(std::move(row));
-        } else {
-            std::printf("%-10s %-13s %10zu %10zu %10s %9lld  %s\n",
-                        kv::kvKindName(kind), "group-commit",
-                        gc_result.boundaries, gc_result.crashesInjected,
-                        "-", static_cast<long long>(wall),
-                        gc_clean ? "clean" : "VIOLATIONS");
-        }
-        if (!gc_clean)
-            std::fputs(gc_result.report.text().c_str(), stderr);
     }
 
     if (opt.common.json) {
