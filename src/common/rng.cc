@@ -1,6 +1,10 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -96,9 +100,24 @@ Rng::split()
 double
 ZipfianGenerator::zeta(std::uint64_t n, double theta)
 {
+    // One pow() per item: ~5 ms at n = 200,000, paid by every client
+    // of every testbed a sweep builds. Sum each (n, theta) once per
+    // process. runSweep builds testbeds on several threads, so the
+    // memo is locked; the sum runs outside the lock, and a racing
+    // duplicate computes the same value.
+    static std::mutex mutex;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, double> memo;
+    const std::pair key{n, std::bit_cast<std::uint64_t>(theta)};
+    {
+        std::lock_guard lock(mutex);
+        if (auto it = memo.find(key); it != memo.end())
+            return it->second;
+    }
     double sum = 0.0;
     for (std::uint64_t i = 1; i <= n; i++)
         sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    std::lock_guard lock(mutex);
+    memo.emplace(key, sum);
     return sum;
 }
 

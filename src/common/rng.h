@@ -80,6 +80,7 @@ class ZipfianGenerator
     double zetan_;
     double eta_;
 
+    /** Sum of 1 / i^theta over [1, n]; memoized per (n, theta). */
     static double zeta(std::uint64_t n, double theta);
 };
 

@@ -126,13 +126,16 @@ PmLogStore::erase(std::uint32_t hash)
 void
 PmLogStore::forEach(const std::function<void(const LogEntry &)> &fn) const
 {
-    for (std::size_t word = 0; word < occupied_.size(); word++) {
+    std::uint64_t left = live_;
+    for (std::size_t word = 0; left > 0 && word < occupied_.size();
+         word++) {
         std::uint64_t bits = occupied_[word];
         while (bits != 0) {
             int offset = std::countr_zero(bits);
             bits &= bits - 1; // clear lowest set bit
             std::size_t index = word * 64 + static_cast<std::size_t>(offset);
             fn(cells_[probe(index, index)].entry);
+            left--;
         }
     }
 }

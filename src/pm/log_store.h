@@ -101,10 +101,14 @@ class PmLogStore
     bool erase(std::uint32_t hash);
 
     /**
-     * Visit every live entry in ascending slot index — the recovery
-     * replay order. Walks the occupancy bitmap, skipping empty 64-slot
-     * runs in one test, so a nearly-empty multi-GB log scans in
-     * microseconds.
+     * Visit every live entry in ascending slot index, the order that
+     * re-forward scans, resilver streams, chain-repair checks and
+     * journal compaction walk the log in. (Recovery replays in
+     * per-session sequence order instead; see
+     * PmnetDevice::replayOrder.) Walks the occupancy bitmap, skipping
+     * empty 64-slot runs in one test, and stops after the last live
+     * entry, so an empty log costs nothing and a nearly-empty multi-GB
+     * log scans in microseconds. @p fn must not insert or erase.
      */
     void forEach(const std::function<void(const LogEntry &)> &fn) const;
 

@@ -1,5 +1,8 @@
 #include "pmnet/device.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
 
@@ -168,14 +171,8 @@ PmnetDevice::handleHeartbeatAck(const net::PacketPtr &pkt)
         serverDown_ = false;
         heartbeatMisses_ = 0;
         stats_.serverUpEvents++;
-        std::vector<std::uint32_t> hashes;
-        hashes.reserve(store_.size());
-        net::NodeId server = heartbeatServer_;
-        store_.forEach([&](const pm::LogEntry &entry) {
-            if (entry.packet->dst == server)
-                hashes.push_back(entry.hashVal);
-        });
-        recoveryResendNext(std::move(hashes), 0, server);
+        recoveryResendNext(replayOrder(heartbeatServer_), 0,
+                           heartbeatServer_);
     }
 }
 
@@ -624,14 +621,29 @@ PmnetDevice::handleRecoveryPoll(const PacketPtr &pkt)
         return;
     }
     stats_.recoveryPolls++;
-    net::NodeId server = pkt->src;
-    std::vector<std::uint32_t> hashes;
-    hashes.reserve(store_.size());
+    recoveryResendNext(replayOrder(pkt->src), 0, pkt->src);
+}
+
+std::vector<std::uint32_t>
+PmnetDevice::replayOrder(net::NodeId server) const
+{
+    // Sort key: (sessionId << 32 | seqNum, hashVal).
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
+    keys.reserve(store_.size());
     store_.forEach([&](const pm::LogEntry &entry) {
-        if (entry.packet->dst == server)
-            hashes.push_back(entry.hashVal);
+        if (entry.packet->dst != server)
+            return;
+        const net::PmnetHeader &header = *entry.packet->pmnet;
+        keys.emplace_back(std::uint64_t{header.sessionId} << 32 |
+                              header.seqNum,
+                          entry.hashVal);
     });
-    recoveryResendNext(std::move(hashes), 0, server);
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::uint32_t> hashes;
+    hashes.reserve(keys.size());
+    for (const auto &key : keys)
+        hashes.push_back(key.second);
+    return hashes;
 }
 
 void

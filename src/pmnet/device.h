@@ -293,6 +293,17 @@ class PmnetDevice : public net::ForwardingNode
     void resilverAdmit(net::PacketPtr restored);
 
     /**
+     * Hashes of the live log entries bound for @p server, in replay
+     * order: ascending (sessionId, seqNum), hashVal breaking ties. The
+     * server then receives each session's updates in sequence, as in
+     * the paper's replay (Section IV-E, Fig 3), and assembles them as
+     * they arrive. In any other order, every update that arrives ahead
+     * of an earlier one makes ServerLib::gapCheck ask a Retrans for
+     * each seq in between.
+     */
+    std::vector<std::uint32_t> replayOrder(net::NodeId server) const;
+
+    /**
      * Continue the recovery resend chain over @p hashes. The vector is
      * owned by value and moved from lambda to lambda along the chain —
      * no shared-pointer plumbing, exactly one allocation per scan.

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -153,6 +155,31 @@ TEST(Zipfian, UniformWhenThetaZero)
         counts[zipf.next(rng)]++;
     for (std::uint64_t i = 0; i < 100; i += 13)
         EXPECT_NEAR(counts[i], 1000, 250);
+}
+
+TEST(Zipfian, ConcurrentFirstUseAgrees)
+{
+    // zeta(n, theta) is memoized process-wide, and runSweep builds
+    // testbeds on worker threads. Generators built at once on several
+    // threads for a fresh (n, theta), and one built after them, must
+    // draw the same stream.
+    auto draws = [] {
+        ZipfianGenerator zipf(54321, 0.77);
+        Rng rng(11);
+        std::vector<std::uint64_t> out;
+        for (int i = 0; i < 64; i++)
+            out.push_back(zipf.next(rng));
+        return out;
+    };
+    std::vector<std::vector<std::uint64_t>> got(4);
+    std::vector<std::thread> threads;
+    for (auto &slot : got)
+        threads.emplace_back([&slot, &draws] { slot = draws(); });
+    for (std::thread &thread : threads)
+        thread.join();
+    std::vector<std::uint64_t> after = draws();
+    for (const auto &stream : got)
+        EXPECT_EQ(stream, after);
 }
 
 TEST(Exponential, MeanApproximation)

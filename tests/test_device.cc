@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "apps/kv_protocol.h"
 #include "net/topology.h"
 #include "pmnet/device.h"
@@ -308,6 +311,95 @@ TEST(Device, RecoveryPollReplaysAllLoggedForServer)
     EXPECT_EQ(rig.stat("recoveryResent"), 5u);
     EXPECT_EQ(rig.dev->logStore().size(), 5u)
         << "entries stay until server-ACKed";
+}
+
+/** A (sessionId, seqNum) pair, the recovery replay's sort key. */
+using SessionSeq = std::pair<std::uint16_t, std::uint32_t>;
+
+/**
+ * Log three updates from each of two sessions, interleaved, into a
+ * 4096-slot log. Returns their (session, seq) pairs in replay order
+ * and clears what the server has seen so far.
+ */
+std::vector<SessionSeq>
+logTwoSessionsOutOfSlotOrder(DeviceRig &rig)
+{
+    std::vector<SessionSeq> logged;
+    for (std::uint32_t seq = 1; seq <= 3; seq++) {
+        for (std::uint16_t session : {2, 1}) {
+            rig.fromClient(rig.update(seq, 100, session));
+            logged.emplace_back(session, seq);
+        }
+    }
+    rig.sim.run();
+    EXPECT_EQ(rig.dev->logStore().size(), logged.size())
+        << "no slot collisions";
+
+    // The hashes must scatter the slots, or slot order and replay
+    // order coincide and the check below shows nothing.
+    std::vector<SessionSeq> slot_order;
+    rig.dev->logStore().forEach([&](const pm::LogEntry &entry) {
+        slot_order.emplace_back(entry.packet->pmnet->sessionId,
+                                entry.packet->pmnet->seqNum);
+    });
+    EXPECT_FALSE(std::is_sorted(slot_order.begin(), slot_order.end()));
+
+    std::sort(logged.begin(), logged.end());
+    rig.server->got.clear();
+    return logged;
+}
+
+/** The (session, seq) of every UpdateReq the server got, in order. */
+std::vector<SessionSeq>
+updatesAtServer(const DeviceRig &rig)
+{
+    std::vector<SessionSeq> got;
+    for (const auto &pkt : rig.server->got) {
+        if (pkt->isPmnet() && pkt->pmnet->type == PacketType::UpdateReq)
+            got.emplace_back(pkt->pmnet->sessionId, pkt->pmnet->seqNum);
+    }
+    return got;
+}
+
+DeviceConfig
+fourThousandSlots()
+{
+    DeviceConfig config;
+    config.pm.capacityBytes = 4096 * 2048;
+    return config;
+}
+
+TEST(Device, RecoveryPollReplaysInSessionSeqOrder)
+{
+    DeviceRig rig(fourThousandSlots());
+    std::vector<SessionSeq> expected = logTwoSessionsOutOfSlotOrder(rig);
+
+    rig.fromServer(net::makeRefPacket(rig.server->id(), rig.dev->id(),
+                                      PacketType::RecoveryPoll, 0, 0,
+                                      0));
+    rig.sim.run();
+    EXPECT_EQ(updatesAtServer(rig), expected)
+        << "replay runs in ascending (session, seq), not slot order";
+}
+
+TEST(Device, HeartbeatReplayInSessionSeqOrder)
+{
+    DeviceRig rig(fourThousandSlots());
+    std::vector<SessionSeq> expected = logTwoSessionsOutOfSlotOrder(rig);
+
+    // The probe server never answers, so three missed heartbeats
+    // declare it down; its next HeartbeatAck starts the replay.
+    rig.dev->enableHeartbeat(rig.server->id());
+    rig.sim.run(rig.sim.now() + microseconds(500));
+    ASSERT_TRUE(rig.dev->serverConsideredDown());
+    ASSERT_TRUE(updatesAtServer(rig).empty());
+
+    rig.fromServer(net::makeRefPacket(rig.server->id(), rig.dev->id(),
+                                      PacketType::HeartbeatAck, 0, 1, 0));
+    rig.sim.run(rig.sim.now() + milliseconds(1));
+    EXPECT_EQ(rig.stat("serverUpEvents"), 1u);
+    EXPECT_EQ(updatesAtServer(rig), expected)
+        << "replay runs in ascending (session, seq), not slot order";
 }
 
 TEST(Device, RecoveryPollForOtherDeviceForwarded)

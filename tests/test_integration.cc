@@ -301,6 +301,37 @@ TEST(Integration, ReplayIsExactlyOnce)
         << "replay must not double-apply non-idempotent updates";
 }
 
+TEST(Integration, OrderedReplayNeedsNoRetrans)
+{
+    // fig_recovery scaled down: a slow server lets the log fill, then
+    // loses power. The device replays each session in sequence order,
+    // so with every update logged (no slot collision, hence no hole
+    // only a client could fill) the server never asks for a Retrans.
+    auto config = baseConfig(SystemMode::PmnetSwitch);
+    config.clientCount = 8;
+    config.server.workers = 2;
+    config.server.dispatchLatency = microseconds(40);
+    Testbed bed(std::move(config));
+    auto &sim = bed.simulator();
+    const pm::PmLogStore &log = bed.device(0).logStore();
+
+    bed.startDrivers();
+    sim.run(sim.now() + milliseconds(2));
+    for (std::size_t c = 0; c < bed.clientCount(); c++)
+        bed.driver(c).stop();
+    ASSERT_GT(log.size(), 500u) << "the server lags: the log has filled";
+    bed.serverHost().powerFail();
+    sim.run(sim.now() + milliseconds(1));
+    bed.serverHost().powerRestore();
+    sim.run(sim.now() + milliseconds(50));
+
+    const obs::MetricRegistry &metrics = bed.metrics();
+    ASSERT_EQ(metrics.value("device0.bypassCollision"), 0u);
+    EXPECT_GT(metrics.value("device0.recoveryResent"), 500u);
+    EXPECT_EQ(metrics.value("server.retransRequested"), 0u);
+    EXPECT_EQ(log.size(), 0u) << "the replay drained the log";
+}
+
 TEST(Integration, CrashUnderLoadLosesNoAcknowledgedUpdate)
 {
     auto config = baseConfig(SystemMode::PmnetSwitch);

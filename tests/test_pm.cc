@@ -468,12 +468,30 @@ TEST(PmLogStore, BitmapScanTracksInsertEraseChurn)
 
 TEST(PmLogStore, ForEachVisitsSlotsInAscendingIndex)
 {
-    // forEach order is the recovery replay order: ascending slot
-    // index, whatever order the entries arrived and left in.
+    // forEach visits ascending slot index, whatever order the entries
+    // arrived and left in: the order re-forward scans, resilver
+    // streams and journal compaction walk. (Recovery replays in
+    // (session, seq) order; see PmnetDevice::replayOrder.)
     DevicePmConfig config;
     config.capacityBytes = 100000 * 2048; // not a power of two
     PmLogStore store(config);
     ASSERT_EQ(store.capacity(), 100000u);
+
+    // The walk stops after the last live entry: an empty store visits
+    // nothing, and a lone entry in the very last slot is still found.
+    int visited_empty = 0;
+    store.forEach([&](const LogEntry &) { visited_empty++; });
+    EXPECT_EQ(visited_empty, 0);
+    auto last = updatePacket(1);
+    std::uint32_t last_slot_hash =
+        static_cast<std::uint32_t>(store.capacity() - 1);
+    ASSERT_EQ(store.insert(last_slot_hash, last, 0), LogInsertResult::Ok);
+    std::vector<std::uint32_t> lone;
+    store.forEach([&](const LogEntry &entry) {
+        lone.push_back(entry.hashVal);
+    });
+    EXPECT_EQ(lone, std::vector<std::uint32_t>{last_slot_hash});
+    ASSERT_TRUE(store.erase(last_slot_hash));
 
     std::mt19937 rng(7);
     auto pkt = updatePacket(1);
