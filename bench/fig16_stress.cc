@@ -92,9 +92,6 @@ main(int argc, char **argv)
         configs.push_back(
             pointConfig(testbed::SystemMode::PmnetNic, clients));
     }
-    // Streaming histograms: millions of samples across the grid.
-    for (auto &config : configs)
-        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

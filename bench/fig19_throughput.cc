@@ -79,9 +79,6 @@ main(int argc, char **argv)
                 spec, testbed::SystemMode::PmnetSwitch, ratio));
         }
     }
-    // Streaming histograms: millions of samples across the grid.
-    for (auto &config : configs)
-        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::vector<double> mean_speedup(ratios.size(), 0.0);

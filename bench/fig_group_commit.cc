@@ -108,8 +108,6 @@ main(int argc, char **argv)
         for (std::uint32_t epoch_ops : epoch_ladder)
             configs.push_back(pointConfig(clients, true, epoch_ops));
     }
-    for (auto &config : configs)
-        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

@@ -112,8 +112,6 @@ main(int argc, char **argv)
             configs.push_back(
                 pointConfig(shards, clients_per_shard, theta, gap));
     }
-    for (auto &config : configs)
-        config.statsMode = StatsMode::Streaming;
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
     std::size_t at = 0;

@@ -3,9 +3,8 @@
  * Google-benchmark microbenchmarks of the per-packet wire primitives
  * introduced by the data-plane fast path: slice-by-8 CRC-32, the
  * allocation-free header codec, and the streaming latency histogram
- * next to the raw-sample LatencySeries it replaced on the sweep
- * benches. EXPERIMENTS.md records the before/after table these
- * benches were introduced with.
+ * that records every latency sample. EXPERIMENTS.md records the
+ * before/after table these benches were introduced with.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,7 +12,6 @@
 #include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "net/packet.h"
 
 namespace {
@@ -95,7 +93,7 @@ BM_HeaderRoundTrip(benchmark::State &state)
 BENCHMARK(BM_HeaderRoundTrip)->Arg(0)->Arg(100)->Arg(1000);
 
 // ------------------------------------------------------------------
-// Streaming histogram vs raw-sample LatencySeries.
+// Streaming latency histogram: per-sample add and percentile queries.
 
 void
 BM_HistogramAdd(benchmark::State &state)
@@ -110,20 +108,6 @@ BM_HistogramAdd(benchmark::State &state)
     benchmark::DoNotOptimize(hist.count());
 }
 BENCHMARK(BM_HistogramAdd);
-
-void
-BM_LatencySeriesExactAdd(benchmark::State &state)
-{
-    LatencySeries series;
-    Rng rng(7);
-    std::uint64_t v = 0;
-    for (auto _ : state) {
-        series.add(static_cast<TickDelta>(v));
-        v = rng.nextUInt(50'000'000);
-    }
-    benchmark::DoNotOptimize(series.count());
-}
-BENCHMARK(BM_LatencySeriesExactAdd);
 
 /** p50+p99+p999 query cost after range(0) samples. */
 void
@@ -140,27 +124,6 @@ BM_HistogramPercentile(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HistogramPercentile)->Arg(100'000)->Arg(1'000'000);
-
-/**
- * The pre-fast-path pattern: every percentile query on a series that
- * has grown since the last query pays a full re-sort.
- */
-void
-BM_LatencySeriesPercentileAfterAdd(benchmark::State &state)
-{
-    LatencySeries series;
-    Rng rng(7);
-    for (std::int64_t i = 0; i < state.range(0); i++)
-        series.add(static_cast<TickDelta>(rng.nextUInt(50'000'000)));
-    for (auto _ : state) {
-        series.add(1); // dirty the sort cache, as interleaved use does
-        benchmark::DoNotOptimize(series.percentile(50));
-        benchmark::DoNotOptimize(series.percentile(99));
-        benchmark::DoNotOptimize(series.percentile(99.9));
-    }
-}
-BENCHMARK(BM_LatencySeriesPercentileAfterAdd)
-    ->Arg(100'000)->Arg(1'000'000);
 
 } // namespace
 

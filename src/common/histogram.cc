@@ -50,6 +50,7 @@ Histogram::add(std::int64_t value)
     }
     count_++;
     sum_ += static_cast<double>(value);
+    mixDigest(static_cast<std::uint64_t>(value));
 }
 
 void
@@ -70,6 +71,7 @@ Histogram::merge(const Histogram &other)
     }
     count_ += other.count_;
     sum_ += other.sum_;
+    mixDigest(other.digest_);
 }
 
 void
@@ -80,6 +82,7 @@ Histogram::clear()
     sum_ = 0.0;
     min_ = 0;
     max_ = 0;
+    digest_ = kDigestSeed;
 }
 
 double
@@ -128,7 +131,8 @@ Histogram::percentile(double p) const
         panic("Histogram::percentile on empty histogram");
     if (p < 0.0 || p > 100.0)
         panic("Histogram::percentile: p=%f out of range", p);
-    // Nearest-rank, matching LatencySeries::percentile.
+    // Nearest-rank: the smallest value with at least p% of the
+    // population at or below it.
     std::uint64_t rank = static_cast<std::uint64_t>(
         std::ceil(p / 100.0 * static_cast<double>(count_)));
     if (rank == 0)
@@ -164,12 +168,6 @@ Histogram::cdf(std::size_t points) const
         out.emplace_back(std::clamp(value, min_, max_), frac);
     }
     return out;
-}
-
-std::size_t
-Histogram::memoryBytes() const
-{
-    return counts_.capacity() * sizeof(std::uint64_t);
 }
 
 } // namespace pmnet

@@ -1,153 +1,11 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/logging.h"
 
 namespace pmnet {
-
-void
-LatencySeries::setMode(StatsMode mode)
-{
-    if (!empty())
-        panic("LatencySeries::setMode on a non-empty series");
-    mode_ = mode;
-}
-
-void
-LatencySeries::add(TickDelta sample)
-{
-    if (mode_ == StatsMode::Streaming) {
-        hist_.add(sample);
-        return;
-    }
-    samples_.push_back(sample);
-    dirty_ = true;
-}
-
-void
-LatencySeries::merge(const LatencySeries &other)
-{
-    if (empty())
-        mode_ = other.mode_;
-    if (other.mode_ == StatsMode::Exact) {
-        for (TickDelta s : other.samples_)
-            add(s);
-        return;
-    }
-    if (mode_ == StatsMode::Exact)
-        panic("LatencySeries::merge: streaming source into a non-empty "
-              "exact series (raw samples unavailable)");
-    hist_.merge(other.hist_);
-}
-
-std::size_t
-LatencySeries::count() const
-{
-    if (mode_ == StatsMode::Streaming)
-        return static_cast<std::size_t>(hist_.count());
-    return samples_.size();
-}
-
-void
-LatencySeries::clear()
-{
-    samples_.clear();
-    hist_.clear();
-    dirty_ = true;
-}
-
-void
-LatencySeries::ensureSorted() const
-{
-    if (!dirty_)
-        return;
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    dirty_ = false;
-}
-
-double
-LatencySeries::mean() const
-{
-    if (empty())
-        panic("LatencySeries::mean on empty series");
-    if (mode_ == StatsMode::Streaming)
-        return hist_.mean();
-    double sum = 0.0;
-    for (TickDelta s : samples_)
-        sum += static_cast<double>(s);
-    return sum / static_cast<double>(samples_.size());
-}
-
-TickDelta
-LatencySeries::percentile(double p) const
-{
-    if (empty())
-        panic("LatencySeries::percentile on empty series");
-    if (p < 0.0 || p > 100.0)
-        panic("LatencySeries::percentile: p=%f out of range", p);
-    if (mode_ == StatsMode::Streaming)
-        return hist_.percentile(p);
-    ensureSorted();
-    // Nearest-rank definition.
-    std::size_t n = sorted_.size();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-    return sorted_[rank - 1];
-}
-
-TickDelta
-LatencySeries::min() const
-{
-    if (empty())
-        panic("LatencySeries::min on empty series");
-    if (mode_ == StatsMode::Streaming)
-        return hist_.min();
-    ensureSorted();
-    return sorted_.front();
-}
-
-TickDelta
-LatencySeries::max() const
-{
-    if (empty())
-        panic("LatencySeries::max on empty series");
-    if (mode_ == StatsMode::Streaming)
-        return hist_.max();
-    ensureSorted();
-    return sorted_.back();
-}
-
-std::vector<std::pair<TickDelta, double>>
-LatencySeries::cdf(std::size_t points) const
-{
-    std::vector<std::pair<TickDelta, double>> out;
-    if (empty() || points == 0)
-        return out;
-    if (mode_ == StatsMode::Streaming)
-        return hist_.cdf(points);
-    ensureSorted();
-    std::size_t n = sorted_.size();
-    out.reserve(points);
-    for (std::size_t i = 1; i <= points; i++) {
-        double frac = static_cast<double>(i) / static_cast<double>(points);
-        std::size_t idx = static_cast<std::size_t>(
-            std::ceil(frac * static_cast<double>(n)));
-        if (idx == 0)
-            idx = 1;
-        if (idx > n)
-            idx = n;
-        out.emplace_back(sorted_[idx - 1], frac);
-    }
-    return out;
-}
 
 void
 ThroughputMeter::start(Tick now)

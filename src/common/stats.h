@@ -1,20 +1,10 @@
 /**
  * @file
- * Measurement collection for the evaluation harness.
- *
- * LatencySeries records latency samples in one of two modes:
- *
- *  - Exact (default): every raw sample is stored, so percentiles and
- *    CDFs are exact — what tests and small runs want, and what the
- *    paper's CDF plots (Fig 20) are extracted from.
- *  - Streaming: samples feed a log-bucketed Histogram (O(1) add,
- *    fixed footprint, < 0.4% quantile error) — what the large
- *    fig16/fig19/fig20 sweep grids opt into, where raw storage and
- *    per-query re-sorting of millions of samples dominated the
- *    measurement cost.
+ * Measurement helpers for the evaluation harness.
  *
  * ThroughputMeter converts completed-request counts over simulated
- * time into requests/second.
+ * time into requests/second; TablePrinter renders the bench tables.
+ * Latency samples go to a Histogram (common/histogram.h).
  */
 
 #ifndef PMNET_COMMON_STATS_H
@@ -24,81 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/time.h"
 
 namespace pmnet {
-
-/** How a LatencySeries stores its samples. */
-enum class StatsMode {
-    Exact,     ///< raw samples, exact percentiles/CDF
-    Streaming, ///< log-bucketed histogram, bounded-error percentiles
-};
-
-/** A collection of latency samples with percentile/CDF extraction. */
-class LatencySeries
-{
-  public:
-    LatencySeries() = default;
-    explicit LatencySeries(StatsMode mode) : mode_(mode) {}
-
-    StatsMode mode() const { return mode_; }
-
-    /** Switch storage mode. @pre no samples recorded yet. */
-    void setMode(StatsMode mode);
-
-    /** Record one sample (in simulated ns). */
-    void add(TickDelta sample);
-
-    /**
-     * Fold another series' samples into this one. An empty series
-     * adopts @p other's mode; merging a streaming source into a
-     * non-empty exact series is an error (raw samples are gone).
-     */
-    void merge(const LatencySeries &other);
-
-    /** Number of recorded samples. */
-    std::size_t count() const;
-
-    bool empty() const { return count() == 0; }
-
-    /** Arithmetic mean in ns (exact in both modes). @pre not empty. */
-    double mean() const;
-
-    /**
-     * Percentile (0 <= p <= 100) in ns: exact in Exact mode, within
-     * Histogram::kMaxRelativeError in Streaming mode. @pre not empty.
-     */
-    TickDelta percentile(double p) const;
-
-    /** Extrema (exact in both modes). @pre not empty. */
-    TickDelta min() const;
-    TickDelta max() const;
-
-    /**
-     * Evenly spaced CDF points: @p points pairs of
-     * (latency_ns, cumulative_fraction).
-     */
-    std::vector<std::pair<TickDelta, double>> cdf(std::size_t points) const;
-
-    /** Discard all samples (e.g. after warm-up). Keeps the mode. */
-    void clear();
-
-    /**
-     * Raw access for custom analyses. Only populated in Exact mode;
-     * a streaming series has no raw samples to expose.
-     */
-    const std::vector<TickDelta> &samples() const { return samples_; }
-
-  private:
-    void ensureSorted() const;
-
-    StatsMode mode_ = StatsMode::Exact;
-    std::vector<TickDelta> samples_;
-    Histogram hist_;
-    mutable std::vector<TickDelta> sorted_;
-    mutable bool dirty_ = true;
-};
 
 /** Completed-operation counter over a simulated time window. */
 class ThroughputMeter
@@ -122,15 +40,6 @@ class ThroughputMeter
     Tick startTick_ = 0;
     Tick stopTick_ = 0;
     std::uint64_t completed_ = 0;
-};
-
-/** Named monotonically increasing counter. */
-struct Counter
-{
-    std::uint64_t value = 0;
-
-    void inc(std::uint64_t by = 1) { value += by; }
-    std::uint64_t get() const { return value; }
 };
 
 /**

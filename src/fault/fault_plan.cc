@@ -163,16 +163,6 @@ FaultRunner::scheduleAction(const FaultAction &action)
     sim::Simulator &sim = testbed_->simulator();
     Tick base_tick = testbed_->now();
     switch (action.kind) {
-      case FaultAction::Kind::LossBurst: {
-        net::Link *link = &resolveLink(action);
-        double rate = action.lossRate;
-        double base = config_.testbed.link.lossRate;
-        sim.scheduleAt(base_tick + action.at,
-                       [link, rate] { link->setLossRate(rate); });
-        sim.scheduleAt(base_tick + action.at + action.duration,
-                       [link, base] { link->setLossRate(base); });
-        break;
-      }
       case FaultAction::Kind::DropNext: {
         net::Link *link = &resolveLink(action);
         net::Node *from =

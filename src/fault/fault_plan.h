@@ -4,7 +4,8 @@
  * executes them and checks the three PMNet safety properties
  * (DESIGN.md section 10).
  *
- * A plan is a list of timed actions — loss bursts, deterministic
+ * A plan is a list of timed actions — link impairments (a loss burst
+ * is an Impair action with Impairment::uniformLoss), deterministic
  * dropNext sequences, server/device power cuts, device replacement in
  * a replication chain — injected into a running testbed::System while
  * scripted open-loop clients stream updates with known keys and
@@ -41,8 +42,6 @@ namespace pmnet::fault {
 struct FaultAction
 {
     enum class Kind {
-        /** Raise a link's random loss rate for `duration`. */
-        LossBurst,
         /** Deterministically drop the next `count` packets. */
         DropNext,
         /** Power-cut the server host; restore after `duration`. */
@@ -65,25 +64,23 @@ struct FaultAction
          * `at`; restore the clean channel after `duration` (an
          * impairment with duration 0 lasts to the end of the run —
          * note the post-drain audits then run over the impaired
-         * channel too).
+         * channel too). A loss burst is Impairment::uniformLoss(p).
          */
         Impair,
     };
 
-    /** Which link a LossBurst/DropNext applies to. */
+    /** Which link a DropNext/Impair applies to. */
     enum class Where {
         ServerLink,       ///< the server host's (only) link
         ClientLink,       ///< client `index`'s (only) link
         DeviceClientSide, ///< device `index`'s client-facing link
     };
 
-    Kind kind = Kind::LossBurst;
+    Kind kind = Kind::Impair;
     /** Injection time, relative to run start. */
     TickDelta at = 0;
-    /** Outage/burst length (power cuts, loss bursts). */
+    /** Outage/impairment length (power cuts, Impair). */
     TickDelta duration = 0;
-    /** LossBurst: loss probability while the burst lasts. */
-    double lossRate = 0.0;
     /** DropNext: packets to drop. */
     int count = 0;
     /** DropNext: drop the server-bound direction (else client-bound). */
@@ -101,8 +98,8 @@ struct FaultAction
         Both,
     };
 
-    /** Impair only (appended so older aggregate initializers keep
-     *  their meaning): direction selector and the channel itself. */
+    /** Impair only: direction selector and the channel itself (the
+     *  identity default makes a bare Impair action a no-op). */
     Dir dir = Dir::Both;
     net::Impairment impair{};
 };

@@ -58,14 +58,7 @@ Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
     dirs_[0].toPort = portOnB_;
     dirs_[1].to = endA_; // B -> A
     dirs_[1].toPort = portOnA_;
-    // One loss stream per direction; the A->B stream keeps the
-    // historical seed.
-    dirs_[0].lossRate = config_.lossRate;
-    dirs_[1].lossRate = config_.lossRate;
-    dirs_[0].lossRng = Rng(config_.lossSeed);
-    dirs_[1].lossRng = Rng(config_.lossSeed ^ 0x9E3779B97F4A7C15ull);
-    // Impairment draws get their own per-direction streams so the
-    // adversarial channel composes with (never perturbs) lossRate.
+    // One impairment stream per direction, both derived from lossSeed.
     dirs_[0].impairRng = Rng(config_.lossSeed ^ 0x494D5041ull);
     dirs_[1].impairRng =
         Rng(config_.lossSeed ^ 0x494D5041ull ^ 0x9E3779B97F4A7C15ull);
@@ -131,19 +124,16 @@ Link::transmit(const Node &from, PacketPtr pkt)
     std::size_t size = pkt->wireSize();
 
     // Injected loss: the packet occupies the line as usual but never
-    // arrives (it is "corrupted on the wire"). The Gilbert–Elliott
-    // channel composes with (runs after) the legacy uniform process:
-    // first the state's loss draw, then the state-transition draw, so
-    // one packet always costs the same number of impairRng draws.
+    // arrives (it is "corrupted on the wire"). A counted dropNext
+    // comes first; otherwise the Gilbert–Elliott channel (uniform loss
+    // is its one-state case) draws the state's loss, then the state
+    // transition, so one packet always costs the same number of
+    // impairRng draws.
     bool lose = false;
     if (dir.dropNext > 0) {
         dir.dropNext--;
         lose = true;
-    } else if (dir.lossRate > 0.0 &&
-               dir.lossRng.nextBool(dir.lossRate)) {
-        lose = true;
-    }
-    if (!lose && dir.impair.hasLoss()) {
+    } else if (dir.impair.hasLoss()) {
         const Impairment &imp = dir.impair;
         lose = dir.impairRng.nextBool(
             dir.geState == 0 ? imp.geLossGood : imp.geLossBad);

@@ -32,16 +32,20 @@ struct LinkConfig
     TickDelta propagation = nanoseconds(300);
     /** Max bytes waiting for the line per direction (tail drop). */
     std::size_t queueBytes = 2 * 1024 * 1024;
-    /** Random per-packet loss probability (failure experiments). */
-    double lossRate = 0.0;
-    /** Seed for the loss process. */
+    /**
+     * Seed of the per-direction impairment streams, which draw every
+     * random loss (Impairment::uniformLoss or Gilbert–Elliott),
+     * corruption, duplication, jitter and reordering decision.
+     */
     std::uint64_t lossSeed = 0x4C4F5353;
 };
 
 /**
  * A duplex link between exactly two nodes. Each direction keeps its
- * own line occupancy, egress queue, loss and impairment processes and
- * counters, so the two directions never share mutable state.
+ * own line occupancy, egress queue, impairment process and counters,
+ * so the two directions never share mutable state. Random loss is an
+ * impairment (setImpairment with Impairment::uniformLoss); dropNext
+ * loses a counted number of packets deterministically.
  */
 class Link : public sim::SimObject
 {
@@ -64,19 +68,6 @@ class Link : public sim::SimObject
     const LinkConfig &config() const { return config_; }
 
     /**
-     * Change the random per-packet loss probability at runtime (both
-     * directions). Each direction's loss RNG keeps its stream, so a
-     * plan replayed with the same seed loses exactly the same
-     * packets.
-     */
-    void
-    setLossRate(double loss_rate)
-    {
-        dirs_[0].lossRate = loss_rate;
-        dirs_[1].lossRate = loss_rate;
-    }
-
-    /**
      * Corrupt the next @p n packets transmitted away from @p from:
      * the packet is delivered, but with one bit of its PMNet header
      * flipped, so it parses and then fails the CRC check at the
@@ -89,7 +80,9 @@ class Link : public sim::SimObject
      * Install an adversarial channel on the direction transmitting
      * away from @p from (DESIGN.md section 15). Replaces any previous
      * impairment; `Impairment{}` restores the clean channel. Resets
-     * the Gilbert–Elliott state to Good.
+     * the Gilbert–Elliott state to Good but keeps the direction's
+     * random stream, so a plan replayed with the same seed impairs
+     * exactly the same packets.
      */
     void setImpairment(const Node &from, const Impairment &imp);
 
@@ -118,7 +111,7 @@ class Link : public sim::SimObject
     /** Packets dropped due to egress-queue overflow. */
     std::uint64_t drops() const { return dirs_[0].drops + dirs_[1].drops; }
 
-    /** Packets lost to injected loss (random or dropNext). */
+    /** Packets lost to injected loss (impairment or dropNext). */
     std::uint64_t
     losses() const
     {
@@ -147,13 +140,10 @@ class Link : public sim::SimObject
         std::size_t queuedBytes = 0;
         int dropNext = 0;
         int corruptNext = 0;
-        double lossRate = 0.0;
-        Rng lossRng{0};
         /**
          * The direction's adversarial channel. All impairment draws
-         * come from impairRng — a stream separate from lossRng, so
-         * installing an impairment never shifts the legacy lossRate
-         * process — and an inactive impairment consumes zero draws.
+         * come from impairRng, and an inactive impairment consumes
+         * zero draws.
          */
         Impairment impair;
         /** Gilbert–Elliott channel state: 0 = Good, 1 = Bad. */

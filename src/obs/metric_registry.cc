@@ -19,124 +19,46 @@ MetricRegistry::findEntry(std::string_view path) const
 }
 
 MetricRegistry::Entry &
-MetricRegistry::addEntry(std::string_view path, Kind kind)
+MetricRegistry::addEntry(std::string_view path)
 {
     if (path.empty())
         fatal("MetricRegistry: empty metric path");
     Entry entry;
     entry.path = std::string(path);
-    entry.kind = kind;
     entries_.push_back(std::move(entry));
     index_.emplace(entries_.back().path, entries_.size() - 1);
     return entries_.back();
 }
 
-Counter &
-MetricRegistry::counter(std::string_view path)
-{
-    if (Entry *existing = findEntry(path)) {
-        if (existing->kind != Kind::OwnedCounter &&
-            existing->kind != Kind::ExternalCounter)
-            fatal("MetricRegistry: '%s' already registered with another "
-                  "kind", existing->path.c_str());
-        return *existing->counter;
-    }
-    ownedCounters_.emplace_back();
-    Entry &entry = addEntry(path, Kind::OwnedCounter);
-    entry.counter = &ownedCounters_.back();
-    return *entry.counter;
-}
-
 void
 MetricRegistry::attach(std::string_view path, Counter &external)
 {
-    if (Entry *existing = findEntry(path)) {
-        if (existing->kind != Kind::ExternalCounter)
-            fatal("MetricRegistry: '%s' already registered with another "
-                  "kind", existing->path.c_str());
-        existing->counter = &external;
-        return;
-    }
-    Entry &entry = addEntry(path, Kind::ExternalCounter);
-    entry.counter = &external;
-}
-
-Gauge &
-MetricRegistry::gauge(std::string_view path)
-{
-    if (Entry *existing = findEntry(path)) {
-        if (existing->kind != Kind::Gauge)
-            fatal("MetricRegistry: '%s' already registered with another "
-                  "kind", existing->path.c_str());
-        return *existing->gauge;
-    }
-    ownedGauges_.emplace_back();
-    Entry &entry = addEntry(path, Kind::Gauge);
-    entry.gauge = &ownedGauges_.back();
-    return *entry.gauge;
+    Entry *entry = findEntry(path);
+    if (entry && !entry->counter)
+        fatal("MetricRegistry: '%s' is already a probe",
+              entry->path.c_str());
+    if (!entry)
+        entry = &addEntry(path);
+    entry->counter = &external;
 }
 
 void
 MetricRegistry::probe(std::string_view path, ProbeFn fn)
 {
-    if (Entry *existing = findEntry(path)) {
-        if (existing->kind != Kind::Probe)
-            fatal("MetricRegistry: '%s' already registered with another "
-                  "kind", existing->path.c_str());
-        existing->probe = std::move(fn);
-        return;
-    }
-    Entry &entry = addEntry(path, Kind::Probe);
-    entry.probe = std::move(fn);
-}
-
-LatencySeries &
-MetricRegistry::series(std::string_view path, StatsMode mode)
-{
-    if (Entry *existing = findEntry(path)) {
-        if (existing->kind != Kind::Series)
-            fatal("MetricRegistry: '%s' already registered with another "
-                  "kind", existing->path.c_str());
-        return *existing->series;
-    }
-    ownedSeries_.emplace_back(mode);
-    Entry &entry = addEntry(path, Kind::Series);
-    entry.series = &ownedSeries_.back();
-    return *entry.series;
-}
-
-const Counter *
-MetricRegistry::findCounter(std::string_view path) const
-{
-    const Entry *entry = findEntry(path);
-    return entry ? entry->counter : nullptr;
-}
-
-const Gauge *
-MetricRegistry::findGauge(std::string_view path) const
-{
-    const Entry *entry = findEntry(path);
-    return entry ? entry->gauge : nullptr;
-}
-
-LatencySeries *
-MetricRegistry::findSeries(std::string_view path)
-{
     Entry *entry = findEntry(path);
-    return entry ? entry->series : nullptr;
+    if (entry && entry->counter)
+        fatal("MetricRegistry: '%s' is already a counter",
+              entry->path.c_str());
+    if (!entry)
+        entry = &addEntry(path);
+    entry->probe = std::move(fn);
 }
 
 std::uint64_t
 MetricRegistry::value(std::string_view path) const
 {
     const Entry *entry = findEntry(path);
-    if (!entry)
-        return 0;
-    if (entry->counter)
-        return entry->counter->get();
-    if (entry->gauge)
-        return static_cast<std::uint64_t>(entry->gauge->get());
-    return 0;
+    return entry && entry->counter ? entry->counter->get() : 0;
 }
 
 bool
@@ -145,29 +67,16 @@ MetricRegistry::contains(std::string_view path) const
     return findEntry(path) != nullptr;
 }
 
-void
-MetricRegistry::reset()
-{
-    for (Entry &entry : entries_) {
-        if (entry.counter)
-            entry.counter->reset();
-        if (entry.gauge)
-            entry.gauge->reset();
-        if (entry.series)
-            entry.series->clear();
-    }
-}
-
 Json
-latencySummaryJson(const LatencySeries &series)
+latencySummaryJson(const Histogram &latency)
 {
     Json out = Json::object();
-    out.set("count", static_cast<std::uint64_t>(series.count()));
-    if (!series.empty()) {
-        out.set("mean_ns", series.mean());
-        out.set("p50_ns", static_cast<std::int64_t>(series.percentile(50)));
-        out.set("p99_ns", static_cast<std::int64_t>(series.percentile(99)));
-        out.set("max_ns", static_cast<std::int64_t>(series.max()));
+    out.set("count", latency.count());
+    if (!latency.empty()) {
+        out.set("mean_ns", latency.mean());
+        out.set("p50_ns", latency.percentile(50));
+        out.set("p99_ns", latency.percentile(99));
+        out.set("max_ns", latency.max());
     }
     return out;
 }
@@ -198,32 +107,13 @@ MetricRegistry::toJson() const
             node = child;
         }
         Json leaf;
-        switch (entry.kind) {
-          case Kind::OwnedCounter:
-          case Kind::ExternalCounter:
+        if (entry.counter)
             leaf = Json(entry.counter->get());
-            break;
-          case Kind::Gauge:
-            leaf = Json(entry.gauge->get());
-            break;
-          case Kind::Probe:
-            leaf = entry.probe ? entry.probe() : Json();
-            break;
-          case Kind::Series:
-            leaf = latencySummaryJson(*entry.series);
-            break;
-        }
+        else if (entry.probe)
+            leaf = entry.probe();
         node->set(rest, std::move(leaf));
     }
     return root;
-}
-
-void
-MetricRegistry::forEachPath(
-    const std::function<void(const std::string &)> &fn) const
-{
-    for (const Entry &entry : entries_)
-        fn(entry.path);
 }
 
 } // namespace pmnet::obs

@@ -7,25 +7,23 @@
  * *cold* half:
  *
  *  - obs::Counter is a plain uint64 wrapper. Components keep Counter
- *    fields (or obtain Counter& handles from the registry) and bump
- *    them with ++ / += on the per-packet fast paths — exactly the
- *    machine code the old ad-hoc stat structs generated, with no
+ *    fields and bump them with ++ / += on the per-packet fast paths —
+ *    exactly the machine code a raw uint64 field generates, with no
  *    indirection, locking or allocation.
  *  - Registration (naming a counter, attaching a probe) happens once
  *    at construction time; snapshotting walks the registrations and
  *    builds a nested obs::Json tree from the dotted paths. Both are
  *    cold paths and may allocate.
  *
- * Four registration flavours:
+ * Two registration kinds:
  *
- *  - counter(path): a registry-owned Counter (stable address in a
- *    deque); returns the handle to increment.
- *  - attach(path, counter): an externally-owned Counter — this is how
- *    the legacy DeviceStats/ClientStats/ServerStats/PacketPool::Stats
- *    adapter structs surface their fields without moving them.
+ *  - attach(path, counter): a component-owned Counter — this is how
+ *    the private counter holders (DeviceStats, ClientStats,
+ *    ServerStats, PacketPool::Stats, ...) surface their fields without
+ *    moving them. value(path) reads it.
  *  - probe(path, fn): a function sampled at snapshot time (queue
- *    depths, log occupancy, derived ratios). Never on the hot path.
- *  - series(path): a registry-owned LatencySeries.
+ *    depths, log occupancy, derived ratios). Never on the hot path,
+ *    and only toJson() evaluates it.
  *
  * Not thread-safe by design: one registry belongs to one Testbed, and
  * the sweep harness gives every job its own Testbed on one thread.
@@ -35,22 +33,21 @@
 #define PMNET_OBS_METRIC_REGISTRY_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/stats.h"
+#include "common/histogram.h"
 #include "obs/json.h"
 
 namespace pmnet::obs {
 
 /**
  * A plain uint64 event counter. Trivially copyable; supports the
- * same expressions the old raw-uint64 stat fields did (++, +=, =N,
- * implicit read), so converted structs compile everywhere unchanged.
+ * same expressions a raw uint64 stat field does (++, +=, =N,
+ * implicit read).
  */
 class Counter
 {
@@ -65,29 +62,13 @@ class Counter
 
     constexpr operator std::uint64_t() const { return value_; }
 
-    void inc(std::uint64_t by = 1) { value_ += by; }
     std::uint64_t get() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
 };
 
-/** A settable signed value (occupancy, backlog, temperature...). */
-class Gauge
-{
-  public:
-    void set(std::int64_t value) { value_ = value; }
-    Gauge &operator=(std::int64_t value) { value_ = value; return *this; }
-    void add(std::int64_t delta) { value_ += delta; }
-    std::int64_t get() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::int64_t value_ = 0;
-};
-
-/** Hierarchical registry of named counters/gauges/probes/series. */
+/** Hierarchical registry of named counters and probes. */
 class MetricRegistry
 {
   public:
@@ -99,86 +80,47 @@ class MetricRegistry
     MetricRegistry &operator=(const MetricRegistry &) = delete;
 
     /**
-     * Register (or look up) a registry-owned counter at @p path.
-     * The returned reference is stable for the registry's lifetime.
+     * Register a component-owned counter. Re-attaching a path points
+     * it at @p external.
      */
-    Counter &counter(std::string_view path);
-
-    /** Register an externally-owned counter (component stat field). */
     void attach(std::string_view path, Counter &external);
-
-    /** Register (or look up) a registry-owned gauge. */
-    Gauge &gauge(std::string_view path);
 
     /** Register a snapshot-time probe. Re-registering replaces it. */
     void probe(std::string_view path, ProbeFn fn);
 
-    /** Register (or look up) a registry-owned latency series. */
-    LatencySeries &series(std::string_view path,
-                          StatsMode mode = StatsMode::Exact);
-
-    /** @name Lookup (tests, adapters, tools)
-     *  @{
-     */
-    const Counter *findCounter(std::string_view path) const;
-    const Gauge *findGauge(std::string_view path) const;
-    LatencySeries *findSeries(std::string_view path);
-
-    /** Counter/gauge value at @p path; 0 when absent. */
+    /** Counter value at @p path; 0 when absent or a probe. */
     std::uint64_t value(std::string_view path) const;
 
     bool contains(std::string_view path) const;
-    std::size_t size() const { return entries_.size(); }
-    /** @} */
-
-    /**
-     * Zero every counter and gauge (owned and attached) and clear
-     * every series. Probes are read-only and unaffected. Used between
-     * measurement windows.
-     */
-    void reset();
 
     /**
      * Render all registered metrics as a nested Json object: the
      * dotted path "device0.log.size" lands at
      * {"device0": {"log": {"size": ...}}}. Insertion order follows
-     * registration order. Series render as
-     * {count, mean, p50, p99, max} summaries.
+     * registration order.
      */
     Json toJson() const;
 
-    /** Visit every path in registration order (for tests/tools). */
-    void forEachPath(const std::function<void(const std::string &)> &fn)
-        const;
-
   private:
-    enum class Kind { OwnedCounter, ExternalCounter, Gauge, Probe, Series };
-
+    /** A counter (counter != nullptr) or a probe. */
     struct Entry
     {
         std::string path;
-        Kind kind;
-        Counter *counter = nullptr; ///< owned or external
-        Gauge *gauge = nullptr;
+        Counter *counter = nullptr;
         ProbeFn probe;
-        LatencySeries *series = nullptr;
     };
 
     Entry *findEntry(std::string_view path);
     const Entry *findEntry(std::string_view path) const;
-    Entry &addEntry(std::string_view path, Kind kind);
-
-    // Deques: stable addresses for returned references.
-    std::deque<Counter> ownedCounters_;
-    std::deque<Gauge> ownedGauges_;
-    std::deque<LatencySeries> ownedSeries_;
+    Entry &addEntry(std::string_view path);
 
     std::vector<Entry> entries_;
     std::map<std::string, std::size_t, std::less<>> index_;
 };
 
-/** Standard summary of a latency series for snapshots. */
-Json latencySummaryJson(const LatencySeries &series);
+/** Standard {count, mean, p50, p99, max} summary of a latency
+ *  histogram for snapshots. */
+Json latencySummaryJson(const Histogram &latency);
 
 } // namespace pmnet::obs
 

@@ -124,6 +124,11 @@ struct DeviceConfig
  * Observable event counters of one device. Private to the device —
  * readers go through obs::MetricRegistry ("deviceN.*" after
  * PmnetDevice::registerMetrics), the one public metrics surface.
+ *
+ * The five bypass* counters count bypass events, not distinct
+ * updates: a client resend of an update that bypassed the log meets
+ * the same condition again (for a collision, the same occupied slot)
+ * and counts again each time.
  */
 struct DeviceStats
 {

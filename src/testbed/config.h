@@ -170,14 +170,6 @@ struct TestbedConfig
     std::size_t flightSlots = 4096;
     /** @} */
 
-    /**
-     * How the run's latency series store samples: Exact keeps every
-     * raw sample (exact percentiles/CDFs — tests, small runs);
-     * Streaming feeds a bounded-error histogram (the big sweep grids
-     * opt in to keep millions of samples O(1)-cheap to record).
-     */
-    StatsMode statsMode = StatsMode::Exact;
-
     // ------------------------------------------------ substrate knobs
 
     net::LinkConfig link;           ///< 10 Gbps, 300 ns per hop

@@ -30,6 +30,7 @@
 #ifndef PMNET_TESTBED_DRIVER_H
 #define PMNET_TESTBED_DRIVER_H
 
+#include "common/histogram.h"
 #include "common/stats.h"
 #include "stack/client_lib.h"
 #include "testbed/config.h"
@@ -39,9 +40,9 @@ namespace pmnet::testbed {
 /** Measurement sinks shared by all drivers of one testbed. */
 struct DriverSinks
 {
-    LatencySeries *updateLatency = nullptr;
-    LatencySeries *readLatency = nullptr;
-    LatencySeries *allLatency = nullptr;
+    Histogram *updateLatency = nullptr;
+    Histogram *readLatency = nullptr;
+    Histogram *allLatency = nullptr;
     ThroughputMeter *meter = nullptr;
     const bool *measuring = nullptr;
 };

@@ -34,9 +34,6 @@ Testbed::Testbed(TestbedConfig config)
             fatal("Testbed: shards > 1 requires a CommandStore server "
                   "(consistent-hash routing is keyed)");
     }
-    updateLatency_.setMode(config_.statsMode);
-    readLatency_.setMode(config_.statsMode);
-    allLatency_.setMode(config_.statsMode);
     if (!config_.workload) {
         config_.workload = [](std::uint16_t session) {
             apps::YcsbConfig ycsb;

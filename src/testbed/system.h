@@ -41,9 +41,9 @@ namespace pmnet::testbed {
 struct RunResults
 {
     double opsPerSecond = 0;
-    LatencySeries updateLatency;
-    LatencySeries readLatency;
-    LatencySeries allLatency;
+    Histogram updateLatency;
+    Histogram readLatency;
+    Histogram allLatency;
     std::uint64_t lockConflicts = 0;
     std::uint64_t cacheResponses = 0;
     std::uint64_t updatesLogged = 0;
@@ -223,9 +223,9 @@ class Testbed
 
     HandlerTap handlerTap_;
 
-    LatencySeries updateLatency_;
-    LatencySeries readLatency_;
-    LatencySeries allLatency_;
+    Histogram updateLatency_;
+    Histogram readLatency_;
+    Histogram allLatency_;
     ThroughputMeter meter_;
     bool measuring_ = false;
     bool driversStarted_ = false;

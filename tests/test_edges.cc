@@ -148,9 +148,9 @@ TEST(LinkLoss, RandomLossRateApproximatelyHonored)
     auto &a = topo.addNode<stack::Host>("a", stack::StackProfile{});
     auto &b = topo.addNode<stack::Host>("b", stack::StackProfile{});
     net::LinkConfig config;
-    config.lossRate = 0.3;
     config.lossSeed = 77;
     net::Link &link = topo.connect(a, b, config);
+    link.setImpairment(a, net::Impairment::uniformLoss(0.3));
     topo.computeRoutes();
 
     int got = 0;
@@ -237,7 +237,7 @@ TEST(CommandStoreEdges, LocksArePerResource)
 
 TEST(StatsEdges, SinglePercentileSample)
 {
-    LatencySeries series;
+    Histogram series;
     series.add(777);
     EXPECT_EQ(series.percentile(0), 777);
     EXPECT_EQ(series.percentile(50), 777);
@@ -248,7 +248,7 @@ TEST(StatsEdges, SinglePercentileSample)
 
 TEST(StatsEdges, CdfOnTinySeries)
 {
-    LatencySeries series;
+    Histogram series;
     series.add(1);
     series.add(2);
     auto cdf = series.cdf(10);

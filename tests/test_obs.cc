@@ -58,47 +58,40 @@ TEST(Json, PrettyEndsWithNewline)
 TEST(MetricRegistry, RegisterLookupReset)
 {
     MetricRegistry reg;
-    Counter &owned = reg.counter("a.owned");
-    owned += 3;
-
     Counter external;
     external += 5;
     reg.attach("a.ext", external);
-
-    Gauge &gauge = reg.gauge("a.gauge");
-    gauge.set(-7);
+    Counter nested;
+    nested += 3;
+    reg.attach("a.b.nested", nested);
 
     reg.probe("a.probe", []() { return Json(std::uint64_t{42}); });
 
-    EXPECT_EQ(reg.value("a.owned"), 3u);
     EXPECT_EQ(reg.value("a.ext"), 5u);
-    EXPECT_TRUE(reg.contains("a.gauge"));
+    EXPECT_EQ(reg.value("a.b.nested"), 3u);
+    // value() reads counters only: probes and absent paths read 0.
+    EXPECT_EQ(reg.value("a.probe"), 0u);
+    EXPECT_EQ(reg.value("a.absent"), 0u);
+    EXPECT_TRUE(reg.contains("a.probe"));
     EXPECT_FALSE(reg.contains("a.absent"));
-    ASSERT_NE(reg.findCounter("a.ext"), nullptr);
-    EXPECT_EQ(reg.findCounter("a.ext")->get(), 5u);
 
-    // counter() on an existing path returns the same handle.
-    EXPECT_EQ(&reg.counter("a.owned"), &owned);
+    // An attached counter is read live, not copied at registration.
+    external += 1;
+    EXPECT_EQ(reg.value("a.ext"), 6u);
 
     // Dotted paths nest in the snapshot.
     Json snap = reg.toJson();
     const Json *a = snap.find("a");
     ASSERT_NE(a, nullptr);
-    EXPECT_EQ(a->find("owned")->dump(), "3");
+    EXPECT_EQ(a->find("ext")->dump(), "6");
     EXPECT_EQ(a->find("probe")->dump(), "42");
-
-    // reset() zeroes counters and gauges (attached included), leaves
-    // probes alone.
-    reg.reset();
-    EXPECT_EQ(reg.value("a.owned"), 0u);
-    EXPECT_EQ(external.get(), 0u);
-    EXPECT_EQ(reg.findGauge("a.gauge")->get(), 0);
-    EXPECT_EQ(reg.toJson().find("a")->find("probe")->dump(), "42");
+    ASSERT_NE(a->find("b"), nullptr);
+    EXPECT_EQ(a->find("b")->find("nested")->dump(), "3");
 }
 
 TEST(MetricRegistry, CounterAdapterExpressions)
 {
-    // The expressions the legacy stat structs rely on.
+    // The expressions the components' counter holders rely on.
     Counter c;
     c++;
     ++c;
@@ -295,8 +288,8 @@ TEST(TestbedObs, RegistryCoversComponentsAndMatchesAdapters)
     EXPECT_TRUE(reg.contains("device0.log.size"));
     EXPECT_TRUE(reg.contains("packetPool.allocated"));
 
-    // The deprecated adapter structs and the registry read the same
-    // storage.
+    // The components' private counter holders and the registry read
+    // the same storage.
     EXPECT_EQ(reg.value("server.updatesApplied"),
               bed.metrics().value("server.updatesApplied"));
     EXPECT_EQ(reg.value("device0.updatesLogged"),

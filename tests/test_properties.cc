@@ -124,10 +124,15 @@ TEST_P(LossSweep, AllRequestsCompleteExactlyOnceInOrder)
         "server", stack::StackProfile::kernelServer());
 
     net::LinkConfig lossy;
-    lossy.lossRate = loss;
     lossy.lossSeed = 0xABCD + static_cast<std::uint64_t>(GetParam());
-    topo.connect(client, tor, lossy);
-    topo.connect(tor, server, lossy);
+    net::Link &uplink = topo.connect(client, tor, lossy);
+    net::Link &downlink = topo.connect(tor, server, lossy);
+    // Uniform loss in every direction of both links.
+    net::Impairment uniform = net::Impairment::uniformLoss(loss);
+    uplink.setImpairment(client, uniform);
+    uplink.setImpairment(tor, uniform);
+    downlink.setImpairment(tor, uniform);
+    downlink.setImpairment(server, uniform);
     topo.computeRoutes();
 
     pm::PmHeap heap(16ull << 20);

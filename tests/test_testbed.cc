@@ -123,6 +123,21 @@ TEST(Build, InvalidConfigRejected)
 
 // ---------------------------------------------------- measurement
 
+/** Two runs recorded the same latency sequence: the order-sensitive
+ *  digest plus every summary statistic agree. */
+void
+expectSameLatencies(const Histogram &a, const Histogram &b)
+{
+    EXPECT_EQ(a.digest(), b.digest());
+    ASSERT_EQ(a.count(), b.count());
+    ASSERT_FALSE(a.empty());
+    EXPECT_DOUBLE_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    EXPECT_EQ(a.percentile(50), b.percentile(50));
+    EXPECT_EQ(a.percentile(99), b.percentile(99));
+}
+
 TEST(Measurement, WarmupExcludedFromSeries)
 {
     Testbed bed(tinyConfig(SystemMode::PmnetSwitch));
@@ -148,8 +163,8 @@ TEST(Measurement, DeterministicForSeed)
     auto c = mk(8);
     EXPECT_DOUBLE_EQ(a.opsPerSecond, b.opsPerSecond)
         << "same seed must reproduce exactly";
-    EXPECT_EQ(a.allLatency.count(), b.allLatency.count());
-    EXPECT_NE(a.allLatency.samples(), c.allLatency.samples())
+    expectSameLatencies(a.allLatency, b.allLatency);
+    EXPECT_NE(a.allLatency.digest(), c.allLatency.digest())
         << "different seed must differ";
 }
 
@@ -182,11 +197,10 @@ TEST(Sweep, ParallelRunMatchesSerialExactly)
     for (const RunResults &par : swept) {
         EXPECT_DOUBLE_EQ(par.opsPerSecond, serial_a.opsPerSecond)
             << "sweep must not perturb a fixed-seed run";
-        EXPECT_EQ(par.allLatency.samples(), serial_a.allLatency.samples());
+        expectSameLatencies(par.allLatency, serial_a.allLatency);
         EXPECT_EQ(par.updatesLogged, serial_a.updatesLogged);
     }
-    EXPECT_EQ(serial_a.allLatency.samples(),
-              serial_b.allLatency.samples());
+    expectSameLatencies(serial_a.allLatency, serial_b.allLatency);
 }
 
 TEST(Sweep, ResultsAreOrderedByJob)
