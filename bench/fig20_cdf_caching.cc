@@ -47,12 +47,12 @@ pointConfig(const WorkloadSpec &spec, testbed::SystemMode mode,
 }
 
 void
-printCdf(const char *label, const Histogram &latency)
+printCdf(const char *label, const Histogram &series)
 {
     std::printf("%-22s", label);
     for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0})
-        std::printf(" p%-4.0f %7.1f", p, us(latency.percentile(p)));
-    std::printf("   mean %7.1f us\n", us(latency.mean()));
+        std::printf(" p%-4.0f %7.1f", p, us(series.percentile(p)));
+    std::printf("   mean %7.1f us\n", us(series.mean()));
 }
 
 } // namespace

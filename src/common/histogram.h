@@ -4,11 +4,10 @@
  *
  * Every latency the harness reports (testbed runs, figure benches,
  * pmnet_sim) is recorded here. Large sweeps record millions of
- * samples per run, and storing every raw sample and re-sorting on
- * each percentile query dominated the measurement cost. Histogram
- * keeps O(1)-time add with a fixed ~57 KB footprint and answers
- * percentile queries in one pass over the buckets, at a bounded
- * relative error.
+ * samples per run, too many to store and re-sort per percentile
+ * query, so Histogram keeps O(1)-time add with a fixed ~57 KB
+ * footprint and answers percentile queries in one pass over the
+ * buckets, at a bounded relative error.
  *
  * Bucket layout: values below 256 get one bucket each (exact); every
  * higher power-of-two octave [2^m, 2^(m+1)) is split into 128

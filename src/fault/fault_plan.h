@@ -4,8 +4,7 @@
  * executes them and checks the three PMNet safety properties
  * (DESIGN.md section 10).
  *
- * A plan is a list of timed actions — link impairments (a loss burst
- * is an Impair action with Impairment::uniformLoss), deterministic
+ * A plan is a list of timed actions — loss bursts, deterministic
  * dropNext sequences, server/device power cuts, device replacement in
  * a replication chain — injected into a running testbed::System while
  * scripted open-loop clients stream updates with known keys and

@@ -216,18 +216,18 @@ printTextReport(const Options &opts, testbed::Testbed &bed,
                 "(%zu measured requests)\n",
                 results.opsPerSecond, opts.measureMs,
                 results.allLatency.count());
-    auto report = [](const char *label, const Histogram &latency) {
-        if (latency.empty())
+    auto report = [](const char *label, const Histogram &series) {
+        if (series.empty())
             return;
         std::printf("%-8s mean %7.1f us   p50 %7.1f   p90 %7.1f   "
                     "p99 %7.1f   max %7.1f\n",
                     label,
                     toMicroseconds(
-                        static_cast<TickDelta>(latency.mean())),
-                    toMicroseconds(latency.percentile(50)),
-                    toMicroseconds(latency.percentile(90)),
-                    toMicroseconds(latency.percentile(99)),
-                    toMicroseconds(latency.max()));
+                        static_cast<TickDelta>(series.mean())),
+                    toMicroseconds(series.percentile(50)),
+                    toMicroseconds(series.percentile(90)),
+                    toMicroseconds(series.percentile(99)),
+                    toMicroseconds(series.max()));
     };
     report("updates:", results.updateLatency);
     report("reads:", results.readLatency);
