@@ -8,6 +8,17 @@
 
 namespace pmnet {
 
+namespace {
+
+/** One FxHash step: fold @p word into @p digest, order-sensitively. */
+std::uint64_t
+foldDigest(std::uint64_t digest, std::uint64_t word)
+{
+    return (std::rotl(digest, 5) ^ word) * 0x9E3779B97F4A7C15ull;
+}
+
+} // namespace
+
 std::size_t
 Histogram::bucketOf(std::uint64_t value)
 {
@@ -50,7 +61,7 @@ Histogram::add(std::int64_t value)
     }
     count_++;
     sum_ += static_cast<double>(value);
-    mixDigest(static_cast<std::uint64_t>(value));
+    digest_ = foldDigest(digest_, static_cast<std::uint64_t>(value));
 }
 
 void
@@ -71,7 +82,7 @@ Histogram::merge(const Histogram &other)
     }
     count_ += other.count_;
     sum_ += other.sum_;
-    mixDigest(other.digest_);
+    digest_ = foldDigest(digest_, other.digest_);
 }
 
 void

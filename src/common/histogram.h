@@ -22,7 +22,6 @@
 #ifndef PMNET_COMMON_HISTOGRAM_H
 #define PMNET_COMMON_HISTOGRAM_H
 
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -98,13 +97,6 @@ class Histogram
 
     /** Value whose rank (1-based) is @p rank. @pre 1 <= rank <= count. */
     std::int64_t valueAtRank(std::uint64_t rank) const;
-
-    /** Fold one word into the digest (FxHash step). */
-    void
-    mixDigest(std::uint64_t word)
-    {
-        digest_ = (std::rotl(digest_, 5) ^ word) * 0x9E3779B97F4A7C15ull;
-    }
 
     std::vector<std::uint64_t> counts_; ///< lazily sized to kBuckets
     std::uint64_t count_ = 0;

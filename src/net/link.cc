@@ -58,7 +58,6 @@ Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
     dirs_[0].toPort = portOnB_;
     dirs_[1].to = endA_; // B -> A
     dirs_[1].toPort = portOnA_;
-    // One impairment stream per direction, both derived from lossSeed.
     dirs_[0].impairRng = Rng(config_.lossSeed ^ 0x494D5041ull);
     dirs_[1].impairRng =
         Rng(config_.lossSeed ^ 0x494D5041ull ^ 0x9E3779B97F4A7C15ull);

@@ -383,11 +383,10 @@ TEST(FaultPlanTest, LossBurstTowardServer)
 {
     FaultPlan plan;
     plan.name = "loss-burst";
-    plan.actions.push_back(
-        {.kind = FaultAction::Kind::Impair,
-         .at = microseconds(100),
-         .duration = microseconds(600),
-         .impair = net::Impairment::uniformLoss(0.25)});
+    plan.actions.push_back({.kind = FaultAction::Kind::Impair,
+                            .at = microseconds(100),
+                            .duration = microseconds(600),
+                            .impair = net::Impairment::uniformLoss(0.25)});
 
     FaultRunner runner(planConfig());
     const InvariantReport &report = runner.run(plan);
@@ -399,11 +398,10 @@ TEST(FaultPlanTest, DeterministicReports)
 {
     FaultPlan plan;
     plan.name = "determinism";
-    plan.actions.push_back(
-        {.kind = FaultAction::Kind::Impair,
-         .at = microseconds(100),
-         .duration = microseconds(500),
-         .impair = net::Impairment::uniformLoss(0.3)});
+    plan.actions.push_back({.kind = FaultAction::Kind::Impair,
+                            .at = microseconds(100),
+                            .duration = microseconds(500),
+                            .impair = net::Impairment::uniformLoss(0.3)});
     plan.actions.push_back({.kind = FaultAction::Kind::DropNext,
                             .at = microseconds(300),
                             .count = 2,
