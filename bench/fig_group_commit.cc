@@ -4,12 +4,12 @@
  * knee (DESIGN.md section 13).
  *
  * Every update's log write retires with a fence before its PmnetAck
- * may leave. Per-op fencing stalls the PM write pipeline once per
- * update; the epoch-based group commit stages writes into an open
- * epoch and retires the whole batch with a single fence (doorbell
- * batching, as in "Correct, Fast Remote Persistence"). The sweep
- * drives update-only 1000 B traffic at a low-load and an at-the-knee
- * client count, per-op first and then across an epoch-size ladder.
+ * may leave. The device stages writes into an open commit epoch and
+ * retires the whole batch with a single fence (doorbell batching, as
+ * in "Correct, Fast Remote Persistence"); epoch 1 is per-op fencing,
+ * one stall of the PM write pipeline per update. The sweep drives
+ * update-only 1000 B traffic at a low-load and an at-the-knee client
+ * count across an epoch-size ladder.
  *
  * Expectation: with a non-zero fence cost the per-op discipline caps
  * device throughput below the line rate at the knee; group commit
@@ -32,7 +32,7 @@ namespace {
 constexpr TickDelta kFenceLatency = nanoseconds(1500);
 
 testbed::TestbedConfig
-pointConfig(int clients, bool group_commit, std::uint32_t epoch_ops)
+pointConfig(int clients, std::uint32_t epoch_ops)
 {
     testbed::TestbedConfig config;
     config.mode = testbed::SystemMode::PmnetSwitch;
@@ -45,12 +45,9 @@ pointConfig(int clients, bool group_commit, std::uint32_t epoch_ops)
         return apps::makeYcsbWorkload(ycsb, session);
     };
     config.device.fenceLatency = kFenceLatency;
-    config.device.groupCommit = group_commit;
-    if (group_commit) {
-        config.device.epochOps = epoch_ops;
-        // The ops ladder drives the sweep; park the bytes threshold.
-        config.device.epochBytes = 1u << 20;
-    }
+    config.device.epochOps = epoch_ops;
+    // The ops ladder drives the sweep; park the bytes threshold.
+    config.device.epochBytes = 1u << 20;
     return config;
 }
 
@@ -103,35 +100,31 @@ main(int argc, char **argv)
     }
 
     std::vector<testbed::TestbedConfig> configs;
-    for (int clients : client_counts) {
-        configs.push_back(pointConfig(clients, false, 0));
+    for (int clients : client_counts)
         for (std::uint32_t epoch_ops : epoch_ladder)
-            configs.push_back(pointConfig(clients, true, epoch_ops));
-    }
+            configs.push_back(pointConfig(clients, epoch_ops));
     auto results = testbed::runSweep(std::move(configs), warmup, measure);
 
+    // Every row is "batched"; the epoch-1 row is per-op fencing. The
+    // column stays so pinned rows keep their shape.
     std::size_t at = 0;
     for (int clients : client_counts) {
-        auto emit = [&](const char *mode, std::uint32_t epoch_ops,
-                        const Point &point) {
-            table.addRow({std::to_string(clients), mode,
-                          epoch_ops == 0 ? "-"
-                                         : std::to_string(epoch_ops),
+        for (std::uint32_t epoch_ops : epoch_ladder) {
+            Point point = toPoint(results[at++]);
+            table.addRow({std::to_string(clients), "batched",
+                          std::to_string(epoch_ops),
                           TablePrinter::fmt(point.gbps),
                           TablePrinter::fmt(point.mean_us, 1),
                           TablePrinter::fmt(point.p99_us, 1)});
             json.beginRow();
             json.field("clients", static_cast<std::uint64_t>(clients));
-            json.field("mode", std::string(mode));
+            json.field("mode", std::string("batched"));
             json.field("epoch_ops",
                        static_cast<std::uint64_t>(epoch_ops));
             json.field("gbps", point.gbps);
             json.field("mean_us", point.mean_us);
             json.field("p99_us", point.p99_us);
-        };
-        emit("per-op", 0, toPoint(results[at++]));
-        for (std::uint32_t epoch_ops : epoch_ladder)
-            emit("batched", epoch_ops, toPoint(results[at++]));
+        }
     }
     table.print();
     return 0;

@@ -23,8 +23,7 @@ PmnetDevice::PmnetDevice(sim::Simulator &simulator,
                                          config.epochMaxHold}),
       cache_(config.cacheCapacity)
 {
-    if (config_.groupCommit)
-        stagedHashes_.reserve(config_.epochOps);
+    stagedHashes_.reserve(config_.epochOps);
     // Bounded by concurrent SRAM-queued PM writes; sized once so the
     // persist hot path never reallocates.
     inflightLogWrites_.reserve(64);
@@ -137,7 +136,7 @@ PmnetDevice::heartbeatTick()
     // Evaluate the previous interval.
     if (heartbeatAckSeen_) {
         heartbeatMisses_ = 0;
-    } else if (++heartbeatMisses_ >= config_.heartbeatMissThreshold &&
+    } else if (++heartbeatMisses_ >= kHeartbeatMissThreshold &&
                !serverDown_) {
         serverDown_ = true;
         stats_.serverDownEvents++;
@@ -152,8 +151,7 @@ PmnetDevice::heartbeatTick()
                                static_cast<std::uint32_t>(
                                    stats_.heartbeatsSent),
                                0));
-    scheduleGuarded(config_.heartbeatInterval,
-                    [this]() { heartbeatTick(); });
+    scheduleGuarded(kHeartbeatInterval, [this]() { heartbeatTick(); });
 }
 
 void
@@ -171,8 +169,8 @@ PmnetDevice::handleHeartbeatAck(const net::PacketPtr &pkt)
         serverDown_ = false;
         heartbeatMisses_ = 0;
         stats_.serverUpEvents++;
-        recoveryResendNext(replayOrder(heartbeatServer_), 0,
-                           heartbeatServer_);
+        streamLog(StreamKind::Replay, replayOrder(heartbeatServer_), 0,
+                  heartbeatServer_);
     }
 }
 
@@ -182,6 +180,18 @@ PmnetDevice::parsedKeyOf(const net::Packet &pkt) const
     if (!codec_)
         return std::nullopt;
     return codec_->parseUpdate(pkt.payload);
+}
+
+void
+PmnetDevice::trackUnlogged(std::uint32_t hash_val, const KeyRef &key)
+{
+    // Bounded side table: under sustained collisions, losing an old
+    // mapping only costs a cache entry staying Stale until eviction —
+    // never correctness.
+    if (unloggedKeys_.size() >= 4 * config_.cacheCapacity)
+        unloggedKeys_.clear();
+    unloggedKeys_[hash_val] =
+        UnloggedKey{std::string(key.view()), key.hash()};
 }
 
 void
@@ -217,16 +227,8 @@ PmnetDevice::handleUpdateReq(const PacketPtr &pkt)
     // Read-cache maintenance (T1/T3/T4/T5 and the bypassed case).
     if (auto parsed = parsedKeyOf(*pkt)) {
         cache_.onUpdate(parsed->key, parsed->value, logged);
-        if (!logged) {
-            // Bounded side table: under sustained collisions, losing
-            // an old mapping only costs a cache entry staying Stale
-            // until eviction — never correctness.
-            if (unloggedKeys_.size() >= 4 * config_.cacheCapacity)
-                unloggedKeys_.clear();
-            unloggedKeys_[pkt->pmnet->hashVal] =
-                UnloggedKey{std::string(parsed->key.view()),
-                            parsed->key.hash()};
-        }
+        if (!logged)
+            trackUnlogged(pkt->pmnet->hashVal, parsed->key);
     }
 }
 
@@ -242,17 +244,10 @@ PmnetDevice::tryLogAndAck(const PacketPtr &pkt)
         if (stagedUnfenced(header.hashVal))
             return LogAttempt::Duplicate;
         stats_.updatesReAcked++;
-        stats_.acksSent++;
-        if (recorder_) {
+        if (recorder_)
             recorder_->stampAt(pkt->requestId, obs::Stamp::PersistStage,
                                now());
-            recorder_->stampAt(pkt->requestId, obs::Stamp::PersistDone,
-                               now());
-        }
-        auto ack = net::makeRefPacket(id(), pkt->src, PacketType::PmnetAck,
-                                      header.sessionId, header.seqNum,
-                                      header.hashVal, pkt->requestId);
-        forward(std::move(ack));
+        sendPmnetAck(pkt);
         return LogAttempt::Duplicate;
     }
     if (logWriteInFlight(header.hashVal)) {
@@ -311,43 +306,48 @@ PmnetDevice::sendPmnetAck(const PacketPtr &pkt)
     if (recorder_)
         recorder_->stampAt(pkt->requestId, obs::Stamp::PersistDone,
                            now());
-    traceEvent("logged+ack", *pkt);
-    auto ack = net::makeRefPacket(id(), pkt->src, PacketType::PmnetAck,
-                                  h.sessionId, h.seqNum, h.hashVal,
-                                  pkt->requestId);
-    forward(std::move(ack));
+    forward(net::makeRefPacket(id(), pkt->src, PacketType::PmnetAck,
+                               h.sessionId, h.seqNum, h.hashVal,
+                               pkt->requestId));
+}
+
+void
+PmnetDevice::respondForServer(const net::Packet &req, Bytes payload)
+{
+    net::MutPacketPtr resp = net::makePacket();
+    resp->src = req.dst; // answer on the server's behalf
+    resp->dst = req.src;
+    resp->srcPort = net::kPmnetPortLow;
+    resp->dstPort = net::kPmnetPortLow;
+    net::PmnetHeader h;
+    h.type = PacketType::Response;
+    h.sessionId = req.pmnet->sessionId;
+    h.seqNum = req.pmnet->seqNum;
+    h.hashVal = req.pmnet->hashVal;
+    resp->pmnet = h;
+    resp->payload = std::move(payload);
+    resp->requestId = req.requestId;
+    forward(std::move(resp));
 }
 
 void
 PmnetDevice::finishLoggedWrite(const PacketPtr &pkt)
 {
-    if (!config_.groupCommit) {
-        // Per-op fencing: one fence retires this single write. The
-        // fence drains the PM write pipeline, so it occupies the log
-        // device — back-to-back updates each pay it in full.
-        if (config_.fenceLatency > 0) {
-            Tick retired = writeQueue_.stall(config_.fenceLatency, now());
-            scheduleGuarded(retired - now(),
-                            [this, pkt]() { sendPmnetAck(pkt); });
-        } else {
-            sendPmnetAck(pkt);
-        }
-        return;
-    }
-
     stagedHashes_.push_back(pkt->pmnet->hashVal);
     auto staged = commitEpoch_.stage(
         pkt->wireSize(),
         [this, pkt]() {
-            // Runs at epoch close; the ACK leaves once the shared
-            // batch fence (one stall per epoch, issued by
-            // closeCommitEpoch) has retired.
-            if (fenceRetireAt_ > now()) {
-                scheduleGuarded(fenceRetireAt_ - now(),
-                                [this, pkt]() { sendPmnetAck(pkt); });
-            } else {
+            // Runs at epoch close; the ACK leaves once the epoch's
+            // fence (one stall per epoch, issued by closeCommitEpoch)
+            // has retired — at once when it retired at the close.
+            auto ack = [this, pkt]() {
+                traceEvent("logged+ack", *pkt);
                 sendPmnetAck(pkt);
-            }
+            };
+            if (fenceRetireAt_ > now())
+                scheduleGuarded(fenceRetireAt_ - now(), std::move(ack));
+            else
+                ack();
         },
         now());
     if (staged.shouldClose) {
@@ -490,29 +490,9 @@ PmnetDevice::handleNearData(const PacketPtr &pkt)
                                          applied->newValue.data()),
                                      applied->newValue.size()),
                     logged);
-            net::MutPacketPtr resp = net::makePacket();
-            resp->src = pkt->dst; // answer on the server's behalf
-            resp->dst = pkt->src;
-            resp->srcPort = net::kPmnetPortLow;
-            resp->dstPort = net::kPmnetPortLow;
-            net::PmnetHeader h;
-            h.type = PacketType::Response;
-            h.sessionId = pkt->pmnet->sessionId;
-            h.seqNum = pkt->pmnet->seqNum;
-            h.hashVal = pkt->pmnet->hashVal;
-            resp->pmnet = h;
-            resp->payload = std::move(applied->response);
-            resp->requestId = pkt->requestId;
-            forward(std::move(resp));
-            if (applied->wrote && !logged) {
-                // Track the key so the server-ACK can still drive the
-                // cache transition for this bypassed RMW (same side
-                // table as bypassed SETs).
-                if (unloggedKeys_.size() >= 4 * config_.cacheCapacity)
-                    unloggedKeys_.clear();
-                unloggedKeys_[pkt->pmnet->hashVal] =
-                    UnloggedKey{std::string(key->view()), key->hash()};
-            }
+            respondForServer(*pkt, std::move(applied->response));
+            if (applied->wrote && !logged)
+                trackUnlogged(pkt->pmnet->hashVal, *key);
             return;
         }
     }
@@ -531,20 +511,8 @@ PmnetDevice::handleBypassReq(const PacketPtr &pkt)
                 // Cache hit: answer directly with a Response that
                 // looks exactly like the server's (Fig 10, step 3).
                 stats_.cacheResponses++;
-                net::MutPacketPtr resp = net::makePacket();
-                resp->src = pkt->dst; // answer on the server's behalf
-                resp->dst = pkt->src;
-                resp->srcPort = net::kPmnetPortLow;
-                resp->dstPort = net::kPmnetPortLow;
-                net::PmnetHeader h;
-                h.type = PacketType::Response;
-                h.sessionId = pkt->pmnet->sessionId;
-                h.seqNum = pkt->pmnet->seqNum;
-                h.hashVal = pkt->pmnet->hashVal;
-                resp->pmnet = h;
-                resp->payload = codec_->makeReadResponse(key->view(), *value);
-                resp->requestId = pkt->requestId;
-                forward(std::move(resp));
+                respondForServer(
+                    *pkt, codec_->makeReadResponse(key->view(), *value));
                 return;
             }
         }
@@ -621,7 +589,7 @@ PmnetDevice::handleRecoveryPoll(const PacketPtr &pkt)
         return;
     }
     stats_.recoveryPolls++;
-    recoveryResendNext(replayOrder(pkt->src), 0, pkt->src);
+    streamLog(StreamKind::Replay, replayOrder(pkt->src), 0, pkt->src);
 }
 
 std::vector<std::uint32_t>
@@ -647,34 +615,50 @@ PmnetDevice::replayOrder(net::NodeId server) const
 }
 
 void
-PmnetDevice::recoveryResendNext(std::vector<std::uint32_t> hashes,
-                                std::size_t index, net::NodeId server)
+PmnetDevice::streamLog(StreamKind kind, std::vector<std::uint32_t> hashes,
+                       std::size_t index, net::NodeId to)
 {
-    // Skip entries invalidated since the scan.
+    // Skip entries invalidated (server-ACKed) since the scan.
     while (index < hashes.size() && !store_.lookup(hashes[index]))
         index++;
-    if (index >= hashes.size())
+    if (index >= hashes.size()) {
+        if (kind == StreamKind::Resilver)
+            resilverActive_ = false;
         return;
+    }
 
     const pm::LogEntry *entry = store_.lookup(hashes[index]);
     auto done = readQueue_.admitRead(entry->packet->wireSize(), now());
     if (!done) {
         // The vector is moved through the continuation, not shared.
-        scheduleGuarded(config_.recoveryRetryGap,
-                        [this, hashes = std::move(hashes), index,
-                         server]() mutable {
-                            recoveryResendNext(std::move(hashes), index,
-                                               server);
+        scheduleGuarded(kRecoveryRetryGap,
+                        [this, kind, hashes = std::move(hashes), index,
+                         to]() mutable {
+                            streamLog(kind, std::move(hashes), index, to);
                         });
         return;
     }
-    net::PacketPtr logged = entry->packet;
-    scheduleGuarded(*done - now(), [this, hashes = std::move(hashes), index,
-                                    server, logged]() mutable {
-        stats_.recoveryResent++;
-        traceEvent("replay", *logged);
-        forward(logged);
-        recoveryResendNext(std::move(hashes), index + 1, server);
+    scheduleGuarded(*done - now(), [this, kind, hashes = std::move(hashes),
+                                    index, to,
+                                    logged = entry->packet]() mutable {
+        switch (kind) {
+          case StreamKind::Replay:
+            stats_.recoveryResent++;
+            traceEvent("replay", *logged);
+            forward(logged);
+            break;
+          case StreamKind::Reforward:
+            stats_.reforwarded++;
+            traceEvent("reforward", *logged);
+            forward(logged);
+            break;
+          case StreamKind::Resilver:
+            stats_.resilverPushesSent++;
+            traceEvent("resilver-push", *logged);
+            forward(resilverPush(*logged, to));
+            break;
+        }
+        streamLog(kind, std::move(hashes), index + 1, to);
     });
 }
 
@@ -703,41 +687,9 @@ PmnetDevice::reforwardScan()
         if (now() - entry.loggedAt >= config_.reforwardAge)
             hashes.push_back(entry.hashVal);
     });
-    reforwardNext(std::move(hashes), 0);
+    streamLog(StreamKind::Reforward, std::move(hashes), 0,
+              net::kInvalidNode);
     scheduleReforwardScan();
-}
-
-void
-PmnetDevice::reforwardNext(std::vector<std::uint32_t> hashes,
-                           std::size_t index)
-{
-    // Same pacing discipline as recoveryResendNext: skip entries
-    // invalidated since the scan, one PM read-queue admission per
-    // packet, the hash vector moved lambda-to-lambda.
-    while (index < hashes.size() && !store_.lookup(hashes[index]))
-        index++;
-    if (index >= hashes.size())
-        return;
-
-    const pm::LogEntry *entry = store_.lookup(hashes[index]);
-    auto done = readQueue_.admitRead(entry->packet->wireSize(), now());
-    if (!done) {
-        scheduleGuarded(config_.recoveryRetryGap,
-                        [this, hashes = std::move(hashes),
-                         index]() mutable {
-                            reforwardNext(std::move(hashes), index);
-                        });
-        return;
-    }
-    net::PacketPtr logged = entry->packet;
-    scheduleGuarded(*done - now(),
-                    [this, hashes = std::move(hashes), index,
-                     logged]() mutable {
-                        stats_.reforwarded++;
-                        traceEvent("reforward", *logged);
-                        forward(logged);
-                        reforwardNext(std::move(hashes), index + 1);
-                    });
 }
 
 void
@@ -749,63 +701,30 @@ PmnetDevice::resilverTo(net::NodeId peer)
         hashes.push_back(entry.hashVal);
     });
     resilverActive_ = true;
-    resilverNext(std::move(hashes), 0, peer);
+    streamLog(StreamKind::Resilver, std::move(hashes), 0, peer);
 }
 
-void
-PmnetDevice::resilverNext(std::vector<std::uint32_t> hashes,
-                          std::size_t index, net::NodeId peer)
+net::PacketPtr
+PmnetDevice::resilverPush(const net::Packet &logged, net::NodeId peer) const
 {
-    // Skip entries invalidated (server-acked) since the scan.
-    while (index < hashes.size() && !store_.lookup(hashes[index]))
-        index++;
-    if (index >= hashes.size()) {
-        resilverActive_ = false;
-        return;
-    }
-
-    const pm::LogEntry *entry = store_.lookup(hashes[index]);
-    auto done = readQueue_.admitRead(entry->packet->wireSize(), now());
-    if (!done) {
-        scheduleGuarded(config_.recoveryRetryGap,
-                        [this, hashes = std::move(hashes), index,
-                         peer]() mutable {
-                            resilverNext(std::move(hashes), index, peer);
-                        });
-        return;
-    }
-
-    // Wrap the logged packet: the push travels device-to-device, so
-    // the original envelope (addresses, ports, sim identity) and wire
-    // payload ride inside the push payload and are reconstructed by
-    // the receiver. The push itself is self-hashed, so a corrupting
-    // link cannot smuggle a damaged entry into the replacement's log.
-    const net::PacketPtr logged = entry->packet;
+    // The push travels device-to-device and is self-hashed, so a
+    // corrupting link cannot smuggle a damaged entry into the
+    // replacement's log.
     Bytes wrapped;
     ByteWriter writer(wrapped);
-    writer.writeU32(logged->src);
-    writer.writeU32(logged->dst);
-    writer.writeU16(logged->srcPort);
-    writer.writeU16(logged->dstPort);
-    writer.writeU64(logged->requestId);
-    writer.writeU32(logged->fragment);
-    writer.writeU32(logged->fragmentCount);
-    Bytes inner = logged->serializePayload();
+    writer.writeU32(logged.src);
+    writer.writeU32(logged.dst);
+    writer.writeU16(logged.srcPort);
+    writer.writeU16(logged.dstPort);
+    writer.writeU64(logged.requestId);
+    writer.writeU32(logged.fragment);
+    writer.writeU32(logged.fragmentCount);
+    Bytes inner = logged.serializePayload();
     writer.writeU32(static_cast<std::uint32_t>(inner.size()));
     writer.writeBytes(inner.data(), inner.size());
-
-    scheduleGuarded(*done - now(),
-                    [this, hashes = std::move(hashes), index, peer,
-                     wrapped = std::move(wrapped), logged]() mutable {
-        stats_.resilverPushesSent++;
-        traceEvent("resilver-push", *logged);
-        forward(net::makePmnetPacket(id(), peer,
-                                     PacketType::ResilverPush,
-                                     logged->pmnet->sessionId,
-                                     logged->pmnet->seqNum,
-                                     std::move(wrapped)));
-        resilverNext(std::move(hashes), index + 1, peer);
-    });
+    return net::makePmnetPacket(id(), peer, PacketType::ResilverPush,
+                                logged.pmnet->sessionId,
+                                logged.pmnet->seqNum, std::move(wrapped));
 }
 
 void
@@ -871,7 +790,7 @@ PmnetDevice::resilverAdmit(net::PacketPtr restored)
         // SRAM write queue momentarily full: retry this push after
         // the recovery gap rather than dropping it — the source has
         // already moved on, and a hole would force another full pass.
-        scheduleGuarded(config_.recoveryRetryGap,
+        scheduleGuarded(kRecoveryRetryGap,
                         [this, restored = std::move(restored)]() mutable {
                             resilverAdmit(std::move(restored));
                         });
@@ -965,8 +884,8 @@ PmnetDevice::registerMetrics(obs::MetricRegistry &registry,
     registry.probe(base + ".cache.evictions", [this]() {
         return obs::Json(cache_.evictions);
     });
-    // Group-commit epoch engine (DESIGN.md section 13). Registered
-    // even with groupCommit off so the subtree shape is stable.
+    // Commit-epoch engine (DESIGN.md section 13): one epoch per logged
+    // write at the default epochOps = 1.
     registry.probe(base + ".persist.epoch.open", [this]() {
         return obs::Json(std::uint64_t(commitEpoch_.open() ? 1 : 0));
     });

@@ -7,11 +7,12 @@
  *
  *  - update-req packets are forwarded immediately and, in parallel,
  *    written to the device's persistent log (PmLogStore) through the
- *    SRAM write queue (LogQueue). When the PM write completes, the
- *    device generates a PMNet-ACK back to the client. Collisions,
- *    full logs, full queues and oversized packets all degrade to
- *    "forward without logging" — the client then falls back to the
- *    server's own ACK, exactly the paper's behaviour.
+ *    SRAM write queue (LogQueue). Once the fence covering the PM
+ *    write retires (see DeviceConfig's commit epochs), the device
+ *    sends a PMNet-ACK back to the client. Collisions, full logs,
+ *    full queues and oversized packets all degrade to "forward
+ *    without logging" — the client then falls back to the server's
+ *    own ACK, exactly the paper's behaviour.
  *  - bypass-req packets are forwarded untouched (unless the read
  *    cache, when enabled, can serve them).
  *  - server-ACKs invalidate the matching log entry and continue
@@ -49,6 +50,21 @@
 
 namespace pmnet::pmnetdev {
 
+/** Retry gap when a log stream or a resilver write finds its PM queue
+ *  full. */
+inline constexpr TickDelta kRecoveryRetryGap = microseconds(1);
+
+/** @name Heartbeat failure detection (Fig 3, Section IV-E)
+ * When enabled (via PmnetDevice::enableHeartbeat), the device probes
+ * the server every kHeartbeatInterval; after kHeartbeatMissThreshold
+ * consecutive misses the server is declared down, and the first ack
+ * after an outage triggers an automatic log replay.
+ *  @{
+ */
+inline constexpr TickDelta kHeartbeatInterval = microseconds(100);
+inline constexpr unsigned kHeartbeatMissThreshold = 3;
+/** @} */
+
 /** Tunable parameters of one PMNet device. */
 struct DeviceConfig
 {
@@ -60,40 +76,26 @@ struct DeviceConfig
     std::size_t logQueueBytes = 4096;
     /** Read-cache entry capacity (only used when a codec is set). */
     std::size_t cacheCapacity = 65536;
-    /** Retry gap when the recovery scan finds the read queue full. */
-    TickDelta recoveryRetryGap = microseconds(1);
 
-    /** @name Heartbeat failure detection (Fig 3, Section IV-E)
-     * When enabled (via enableHeartbeat), the device probes the
-     * server every heartbeatInterval; after heartbeatMissThreshold
-     * consecutive misses the server is declared down, and the first
-     * ack after an outage triggers an automatic log replay.
+    /** @name Commit epochs (DESIGN.md section 13)
+     * Every completed log write stages into a pm::CommitEpoch, and its
+     * PMNet-ACK is held until the fence of its epoch retires. An epoch
+     * closes at a bytes or ops threshold, or when the max-hold doorbell
+     * fires. The default epochOps = 1 is per-op fencing: each write
+     * closes its own epoch, and with a zero fenceLatency its ACK leaves
+     * inside the write-completion event.
      *  @{
      */
-    TickDelta heartbeatInterval = microseconds(100);
-    unsigned heartbeatMissThreshold = 3;
-    /** @} */
-
-    /** @name Epoch-based group commit (DESIGN.md section 13)
-     * When groupCommit is on, completed log writes stage into a
-     * pm::CommitEpoch and their PMNet-ACKs are held until the epoch's
-     * single fence retires (bytes/ops threshold or the max-hold
-     * doorbell), instead of paying one fence per request. Off by
-     * default: the per-op path stays byte-identical to history.
-     *  @{
-     */
-    bool groupCommit = false;
     /** Close the epoch when staged log bytes reach this threshold. */
     std::size_t epochBytes = 4096;
     /** Close the epoch when this many writes are staged. */
-    std::uint32_t epochOps = 8;
+    std::uint32_t epochOps = 1;
     /** Doorbell: never hold an ACK longer than this past epoch open. */
     TickDelta epochMaxHold = microseconds(2);
     /**
-     * Modeled latency of one fence retirement. Group commit charges
-     * it once per epoch; the per-op path charges it per request when
-     * nonzero (the honest per-op-fencing baseline for the
-     * fig_group_commit comparison). 0 keeps the historical timing.
+     * Modeled latency of one fence retirement, charged once per epoch
+     * as a stall of the PM write queue. 0 retires the fence at the
+     * close.
      */
     TickDelta fenceLatency = 0;
     /** @} */
@@ -284,13 +286,6 @@ class PmnetDevice : public net::ForwardingNode
     void handleResilverPush(const net::PacketPtr &pkt);
 
     /**
-     * Continue a resilver stream over @p hashes toward @p peer (same
-     * move-the-vector pacing discipline as recoveryResendNext).
-     */
-    void resilverNext(std::vector<std::uint32_t> hashes,
-                      std::size_t index, net::NodeId peer);
-
-    /**
      * Admit a reconstructed resilver entry to the SRAM write queue
      * (retrying while it is full) and write it to the log. No client
      * ACK is generated — the write only restores replica count.
@@ -308,13 +303,33 @@ class PmnetDevice : public net::ForwardingNode
      */
     std::vector<std::uint32_t> replayOrder(net::NodeId server) const;
 
+    /** What a log stream does with each live entry it reaches. */
+    enum class StreamKind : std::uint8_t
+    {
+        Replay,    ///< resend toward the recovering server
+        Reforward, ///< re-send a stale un-ACKed entry toward its server
+        Resilver,  ///< wrap in a ResilverPush toward the peer
+    };
+
     /**
-     * Continue the recovery resend chain over @p hashes. The vector is
-     * owned by value and moved from lambda to lambda along the chain —
-     * no shared-pointer plumbing, exactly one allocation per scan.
+     * Stream the log entries @p hashes[index..] as @p kind says, paced
+     * by the PM read queue: skip entries invalidated since the scan,
+     * admit one read per entry (retrying after kRecoveryRetryGap while
+     * the queue is full), emit the entry when its read completes. The
+     * vector is owned by value and moved from event to event along the
+     * chain, so a scan allocates once. @p to is the resilver peer. A
+     * Resilver stream clears resilverActive() when it ends.
      */
-    void recoveryResendNext(std::vector<std::uint32_t> hashes,
-                            std::size_t index, net::NodeId server);
+    void streamLog(StreamKind kind, std::vector<std::uint32_t> hashes,
+                   std::size_t index, net::NodeId to);
+
+    /**
+     * The ResilverPush carrying @p logged to @p peer: the original
+     * envelope (addresses, ports, sim identity) and wire payload ride
+     * inside the push payload; handleResilverPush rebuilds them.
+     */
+    net::PacketPtr resilverPush(const net::Packet &logged,
+                                net::NodeId peer) const;
 
     /** @name Stale-log re-forward timer (see DeviceConfig)
      * The timer is lazy: armed when a log write (or resilver write,
@@ -324,8 +339,6 @@ class PmnetDevice : public net::ForwardingNode
      */
     void scheduleReforwardScan();
     void reforwardScan();
-    void reforwardNext(std::vector<std::uint32_t> hashes,
-                       std::size_t index);
     /** @} */
 
     /**
@@ -355,14 +368,29 @@ class PmnetDevice : public net::ForwardingNode
     LogAttempt tryLogAndAck(const net::PacketPtr &pkt);
 
     /**
-     * The log write for @p pkt completed (entry in the store). Per-op
-     * mode fences and ACKs immediately; group-commit mode stages the
-     * ACK into the open epoch and arms/serves the doorbell.
+     * The log write for @p pkt completed (entry in the store): stage
+     * its ACK into the open epoch, then close the epoch at a threshold
+     * or arm the doorbell if this write opened it.
      */
     void finishLoggedWrite(const net::PacketPtr &pkt);
 
-    /** Generate the PMNet-ACK for a durably logged request. */
+    /**
+     * Send the PMNet-ACK for a durably logged request: the first ACK
+     * once its fence retired, or the re-ACK of a duplicate.
+     */
     void sendPmnetAck(const net::PacketPtr &pkt);
+
+    /**
+     * Answer @p req on its server's behalf with a Response carrying
+     * @p payload (read-cache hit, near-data RMW served in-network).
+     */
+    void respondForServer(const net::Packet &req, Bytes payload);
+
+    /**
+     * Remember the key of an update that bypassed the log, so its
+     * server-ACK can still drive the cache's T6 transition.
+     */
+    void trackUnlogged(std::uint32_t hash_val, const KeyRef &key);
 
     /** Close the open epoch: one batch fence covers the staged writes. */
     void closeCommitEpoch(pm::EpochCloseReason reason);

@@ -434,6 +434,132 @@ TEST(Device, PmnetAckFromAnotherDeviceForwarded)
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 1u);
 }
 
+// --------------------------------------------------------- log streams
+//
+// Recovery replay, stale-log re-forwarding and re-silvering share one
+// stream loop: a scan captures hashes, and each entry is looked up
+// again when the PM read queue reaches it. An entry server-ACKed in
+// between is skipped: neither sent nor counted.
+
+constexpr std::uint32_t kStreamEntries = 12;
+
+/** Log kStreamEntries updates from session 1, in seq order. */
+std::vector<PacketPtr>
+logStreamEntries(DeviceRig &rig)
+{
+    std::vector<PacketPtr> sent;
+    for (std::uint32_t seq = 1; seq <= kStreamEntries; seq++) {
+        sent.push_back(rig.update(seq));
+        rig.fromClient(sent.back());
+    }
+    rig.sim.run(rig.sim.now() + microseconds(20));
+    EXPECT_EQ(rig.dev->logStore().size(), kStreamEntries)
+        << "no slot collisions";
+    return sent;
+}
+
+/** The entry a slot-order stream (re-forward, resilver) sends last. */
+PacketPtr
+lastInSlotOrder(const PmnetDevice &dev)
+{
+    PacketPtr last;
+    dev.logStore().forEach(
+        [&](const pm::LogEntry &entry) { last = entry.packet; });
+    return last;
+}
+
+/**
+ * Step until the server holds more than @p seen packets of @p type,
+ * i.e. the stream has sent its first entry; then server-ACK @p victim,
+ * which the read queue has not reached yet, and let the stream end.
+ */
+void
+ackMidStream(DeviceRig &rig, PacketType type, std::size_t seen,
+             const PacketPtr &victim)
+{
+    const Tick deadline = rig.sim.now() + milliseconds(1);
+    while (rig.server->countType(type) <= seen &&
+           rig.sim.now() < deadline)
+        rig.sim.advanceTo(rig.sim.now() + nanoseconds(50));
+    ASSERT_GT(rig.server->countType(type), seen)
+        << "the stream never started";
+    const net::PmnetHeader &h = *victim->pmnet;
+    rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
+                                      PacketType::ServerAck, h.sessionId,
+                                      h.seqNum, h.hashVal));
+    rig.sim.run(rig.sim.now() + microseconds(50));
+}
+
+/** Packets the server got carrying @p victim's (session, seq). */
+std::size_t
+copiesAtServer(const DeviceRig &rig, const PacketPtr &victim)
+{
+    std::size_t copies = 0;
+    for (const auto &pkt : rig.server->got)
+        if (pkt->isPmnet() &&
+            pkt->pmnet->sessionId == victim->pmnet->sessionId &&
+            pkt->pmnet->seqNum == victim->pmnet->seqNum)
+            copies++;
+    return copies;
+}
+
+TEST(DeviceStream, ReplaySkipsEntryAckedMidStream)
+{
+    DeviceRig rig(fourThousandSlots());
+    // Replay runs in seq order: the highest seq goes last.
+    PacketPtr victim = logStreamEntries(rig).back();
+
+    rig.fromServer(net::makeRefPacket(rig.server->id(), rig.dev->id(),
+                                      PacketType::RecoveryPoll, 0, 0,
+                                      0));
+    ackMidStream(rig, PacketType::UpdateReq, kStreamEntries, victim);
+
+    EXPECT_EQ(rig.stat("recoveryResent"), kStreamEntries - 1);
+    EXPECT_EQ(rig.server->countType(PacketType::UpdateReq),
+              2 * kStreamEntries - 1);
+    EXPECT_EQ(copiesAtServer(rig, victim), 1u)
+        << "only the original forward";
+}
+
+TEST(DeviceStream, ReforwardSkipsEntryAckedMidStream)
+{
+    DeviceConfig config = fourThousandSlots();
+    config.reforwardAge = microseconds(50);
+    DeviceRig rig(config);
+    logStreamEntries(rig);
+    PacketPtr victim = lastInSlotOrder(*rig.dev);
+
+    // The first scan runs one reforwardInterval (100 us) after the
+    // first log write; every entry is older than reforwardAge by then.
+    ackMidStream(rig, PacketType::UpdateReq, kStreamEntries, victim);
+
+    EXPECT_EQ(rig.stat("reforwarded"), kStreamEntries - 1);
+    EXPECT_EQ(rig.server->countType(PacketType::UpdateReq),
+              2 * kStreamEntries - 1);
+    EXPECT_EQ(copiesAtServer(rig, victim), 1u)
+        << "only the original forward";
+}
+
+TEST(DeviceStream, ResilverSkipsEntryAckedMidStream)
+{
+    DeviceRig rig(fourThousandSlots());
+    logStreamEntries(rig);
+    PacketPtr victim = lastInSlotOrder(*rig.dev);
+
+    // The server probe stands in for the replacement peer.
+    rig.dev->resilverTo(rig.server->id());
+    EXPECT_TRUE(rig.dev->resilverActive());
+    ackMidStream(rig, PacketType::ResilverPush, 0, victim);
+
+    EXPECT_EQ(rig.stat("resilverPushesSent"), kStreamEntries - 1);
+    EXPECT_EQ(rig.server->countType(PacketType::ResilverPush),
+              kStreamEntries - 1);
+    EXPECT_EQ(copiesAtServer(rig, victim), 1u)
+        << "only the original forward";
+    EXPECT_FALSE(rig.dev->resilverActive())
+        << "the stream ended on a skipped entry";
+}
+
 // ------------------------------------------------------ power failure
 
 TEST(Device, LogSurvivesPowerFailure)
@@ -646,10 +772,9 @@ TEST(DeviceCache, CacheClearedOnPowerFailure)
 // ------------------------------------------------------- group commit
 
 DeviceConfig
-groupCommitConfig(std::uint32_t ops, TickDelta hold)
+epochConfig(std::uint32_t ops, TickDelta hold)
 {
     DeviceConfig config = DeviceRig::smallConfig();
-    config.groupCommit = true;
     config.epochOps = ops;
     config.epochBytes = 1 << 20; // only the op/doorbell triggers fire
     config.epochMaxHold = hold;
@@ -658,7 +783,7 @@ groupCommitConfig(std::uint32_t ops, TickDelta hold)
 
 TEST(GroupCommit, OpsThresholdClosesAndAcksWholeBatch)
 {
-    DeviceRig rig(groupCommitConfig(4, microseconds(50)));
+    DeviceRig rig(epochConfig(4, microseconds(50)));
     for (std::uint32_t seq = 1; seq <= 4; seq++)
         rig.fromClient(rig.update(seq));
     rig.sim.run();
@@ -676,7 +801,7 @@ TEST(GroupCommit, OpsThresholdClosesAndAcksWholeBatch)
 
 TEST(GroupCommit, DoorbellClosesPartialEpoch)
 {
-    DeviceRig rig(groupCommitConfig(8, microseconds(5)));
+    DeviceRig rig(epochConfig(8, microseconds(5)));
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
     rig.sim.run();
@@ -690,7 +815,7 @@ TEST(GroupCommit, DoorbellClosesPartialEpoch)
 
 TEST(GroupCommit, AcksHeldWhileEpochOpen)
 {
-    DeviceRig rig(groupCommitConfig(8, microseconds(50)));
+    DeviceRig rig(epochConfig(8, microseconds(50)));
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
     // Both PM writes land well before the doorbell (50us): the log
@@ -706,7 +831,7 @@ TEST(GroupCommit, AcksHeldWhileEpochOpen)
 
 TEST(GroupCommit, PowerFailureRollsBackStagedUnackedWrites)
 {
-    DeviceRig rig(groupCommitConfig(8, microseconds(50)));
+    DeviceRig rig(epochConfig(8, microseconds(50)));
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
     rig.sim.run(rig.sim.now() + microseconds(10));
@@ -726,7 +851,7 @@ TEST(GroupCommit, PowerFailureRollsBackStagedUnackedWrites)
 
 TEST(GroupCommit, DuplicateOfStagedEntryNotReAcked)
 {
-    DeviceRig rig(groupCommitConfig(8, microseconds(50)));
+    DeviceRig rig(epochConfig(8, microseconds(50)));
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
     rig.sim.run(rig.sim.now() + microseconds(10));
@@ -744,19 +869,23 @@ TEST(GroupCommit, DuplicateOfStagedEntryNotReAcked)
         << "exactly one ACK, from the epoch close";
 }
 
-TEST(GroupCommit, PowerFailureInFenceWindowRollsBack)
+/**
+ * Crash after the epoch closed but before its fence retired: the
+ * entries were never covered by a retired fence, so they roll back
+ * exactly like open-epoch stages — and their deferred ACKs never
+ * leave. At @p epoch_ops 1 (per-op fencing) each write closes its own
+ * epoch and waits for its own fence.
+ */
+void
+expectPowerFailureInFenceWindowRollsBack(std::uint32_t epoch_ops)
 {
-    // Crash after the epoch closed but before its batch fence
-    // retired: the entries were never covered by a retired fence, so
-    // they roll back exactly like open-epoch stages — and their
-    // deferred ACKs never leave.
-    auto config = groupCommitConfig(2, microseconds(50));
+    auto config = epochConfig(epoch_ops, microseconds(50));
     config.fenceLatency = microseconds(40);
     DeviceRig rig(config);
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
     rig.sim.run(rig.sim.now() + microseconds(10));
-    ASSERT_EQ(rig.dev->commitEpoch().stats().epochsClosed, 1u);
+    ASSERT_EQ(rig.dev->commitEpoch().stats().epochsClosed, 2u / epoch_ops);
     ASSERT_EQ(rig.dev->logStore().size(), 2u);
     ASSERT_EQ(rig.client->countType(PacketType::PmnetAck), 0u)
         << "acks wait for the fence to retire";
@@ -769,20 +898,33 @@ TEST(GroupCommit, PowerFailureInFenceWindowRollsBack)
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
 }
 
-TEST(GroupCommit, DuplicateInFenceWindowWaitsForDeferredAck)
+TEST(GroupCommit, PowerFailureInFenceWindowRollsBack)
 {
-    auto config = groupCommitConfig(2, microseconds(50));
+    expectPowerFailureInFenceWindowRollsBack(2);
+}
+
+TEST(GroupCommit, PowerFailureInPerOpFenceWindowRollsBack)
+{
+    expectPowerFailureInFenceWindowRollsBack(1);
+}
+
+/**
+ * A resend inside the [close, fence-retire) window must not be
+ * re-ACKed immediately — the entry is not durable until the fence
+ * retires; the deferred ACK answers it then.
+ */
+void
+expectDuplicateInFenceWindowWaitsForDeferredAck(std::uint32_t epoch_ops)
+{
+    auto config = epochConfig(epoch_ops, microseconds(50));
     config.fenceLatency = microseconds(40);
     DeviceRig rig(config);
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
     rig.fromClient(rig.update(2));
     rig.sim.run(rig.sim.now() + microseconds(10));
-    ASSERT_EQ(rig.dev->commitEpoch().stats().epochsClosed, 1u);
+    ASSERT_EQ(rig.dev->commitEpoch().stats().epochsClosed, 2u / epoch_ops);
 
-    // A resend inside the [close, fence-retire) window must not be
-    // re-ACKed immediately — the entry is not durable until the
-    // fence retires; the deferred ACK answers it then.
     rig.fromClient(pkt);
     rig.sim.run(rig.sim.now() + microseconds(10));
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
@@ -797,6 +939,16 @@ TEST(GroupCommit, DuplicateInFenceWindowWaitsForDeferredAck)
     rig.sim.run();
     EXPECT_EQ(rig.stat("updatesReAcked"), 1u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 3u);
+}
+
+TEST(GroupCommit, DuplicateInFenceWindowWaitsForDeferredAck)
+{
+    expectDuplicateInFenceWindowWaitsForDeferredAck(2);
+}
+
+TEST(GroupCommit, DuplicateInPerOpFenceWindowWaitsForDeferredAck)
+{
+    expectDuplicateInFenceWindowWaitsForDeferredAck(1);
 }
 
 // ---------------------------------------------------- near-data RMWs

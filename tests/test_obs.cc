@@ -278,6 +278,13 @@ TEST(TestbedObs, RegistryCoversComponentsAndMatchesAdapters)
 {
     auto config = tracedConfig(testbed::SystemMode::PmnetSwitch);
     testbed::Testbed bed(config);
+    // Count what the server handler applies, outside the registry.
+    std::uint64_t tapped_updates = 0;
+    std::uint64_t tapped_reads = 0;
+    bed.setHandlerTap(
+        [&](std::uint16_t, bool is_update, const apps::Command &) {
+            (is_update ? tapped_updates : tapped_reads)++;
+        });
     bed.run(milliseconds(1), milliseconds(2));
 
     MetricRegistry &reg = bed.metrics();
@@ -288,13 +295,32 @@ TEST(TestbedObs, RegistryCoversComponentsAndMatchesAdapters)
     EXPECT_TRUE(reg.contains("device0.log.size"));
     EXPECT_TRUE(reg.contains("packetPool.allocated"));
 
-    // The components' private counter holders and the registry read
-    // the same storage.
-    EXPECT_EQ(reg.value("server.updatesApplied"),
-              bed.metrics().value("server.updatesApplied"));
-    EXPECT_EQ(reg.value("device0.updatesLogged"),
-              bed.metrics().value("device0.updatesLogged"));
-    EXPECT_GT(reg.value("client0.updatesCompleted"), 0u);
+    // Quiesce, then check each registry path against a count kept
+    // elsewhere: a path attached to the wrong counter fails here.
+    for (std::size_t i = 0; i < bed.clientCount(); i++)
+        bed.driver(i).stop();
+    bed.runFor(milliseconds(2));
+    std::uint64_t updates_completed = 0;
+    std::uint64_t reads_completed = 0;
+    for (std::size_t i = 0; i < bed.clientCount(); i++) {
+        ASSERT_EQ(bed.driver(i).outstandingRequests(), 0u);
+        const std::string client = bed.clientPrefix(i);
+        updates_completed += reg.value(client + ".updatesCompleted");
+        reads_completed += reg.value(client + ".bypassCompleted");
+        EXPECT_EQ(bed.driver(i).completedRequests(),
+                  reg.value(client + ".updatesCompleted") +
+                      reg.value(client + ".bypassCompleted") +
+                      reg.value(client + ".nearDataCompleted"))
+            << client;
+    }
+    EXPECT_GT(tapped_updates, 0u);
+    EXPECT_GT(tapped_reads, 0u);
+    EXPECT_EQ(reg.value("server.updatesApplied"), tapped_updates);
+    EXPECT_EQ(reg.value("server.bypassApplied"), tapped_reads);
+    // No cache and no loss: at quiescence each request the server
+    // applied completed at its client exactly once.
+    EXPECT_EQ(updates_completed, tapped_updates);
+    EXPECT_EQ(reads_completed, tapped_reads);
 
     // RunResults serializes through the obs layer.
     auto results = bed.endMeasurement();

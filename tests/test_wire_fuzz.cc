@@ -206,7 +206,7 @@ struct Rig
         return metrics.value("dev." + name);
     }
 
-    /** A wrapped ResilverPush payload exactly as resilverNext builds
+    /** A wrapped ResilverPush payload exactly as resilverPush builds
      *  it: envelope fields, then length-prefixed inner wire image. */
     Bytes
     wrapped(std::uint32_t seq) const
