@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the group-commit persist path
- * (DESIGN.md section 13): the CommitEpoch accumulator itself, and the
+ * (DESIGN.md section 13): the CommitEpoch close policy itself, and the
  * fence amortization it buys on a real PmHeap.
  *
  * Two numbers matter:
@@ -20,7 +20,7 @@ namespace {
 
 using namespace pmnet;
 
-/** Stage-and-close throughput of the epoch accumulator alone. */
+/** Stage-and-close throughput of the epoch close policy alone. */
 void
 BM_CommitEpochStage(benchmark::State &state)
 {
@@ -28,15 +28,13 @@ BM_CommitEpochStage(benchmark::State &state)
     config.maxOps = static_cast<std::uint32_t>(state.range(0));
     config.maxBytes = 1u << 30;
     std::uint64_t acked = 0;
-    pm::CommitEpoch epoch(config, []() {});
+    pm::CommitEpoch epoch(config);
     Tick now = 0;
     for (auto _ : state) {
-        auto staged =
-            epoch.stage(64, [&acked]() { acked++; }, now++);
-        if (staged.shouldClose)
-            epoch.close(pm::EpochCloseReason::Ops, now);
+        if (epoch.stage(64, now++).shouldClose)
+            acked += epoch.close(pm::EpochCloseReason::Ops, now, now);
     }
-    epoch.close(pm::EpochCloseReason::Drain, now);
+    acked += epoch.close(pm::EpochCloseReason::Drain, now, now);
     state.counters["acked"] = static_cast<double>(acked);
     state.counters["epochs"] =
         static_cast<double>(epoch.stats().epochsClosed);
@@ -85,20 +83,22 @@ BM_HeapGroupCommit(benchmark::State &state)
     pm::CommitEpochConfig config;
     config.maxOps = static_cast<std::uint32_t>(state.range(0));
     config.maxBytes = 1u << 30;
-    pm::CommitEpoch epoch(config, [&heap]() { heap.fence(); });
+    pm::CommitEpoch epoch(config);
 
     std::uint64_t ops = 0;
     Tick now = 0;
     for (auto _ : state) {
         heap.write(off + (ops % 16) * 256, block, sizeof(block));
         heap.flush(off + (ops % 16) * 256, sizeof(block));
-        epoch.stage(sizeof(block), []() {}, now);
-        if (epoch.openOps() >= config.maxOps)
-            epoch.close(pm::EpochCloseReason::Ops, now);
+        if (epoch.stage(sizeof(block), now).shouldClose) {
+            epoch.close(pm::EpochCloseReason::Ops, now, now);
+            heap.fence();
+        }
         now++;
         ops++;
     }
-    epoch.close(pm::EpochCloseReason::Drain, now);
+    if (epoch.close(pm::EpochCloseReason::Drain, now, now) > 0)
+        heap.fence();
     heap.setPersistBoundaryHook(nullptr);
     state.counters["fences_per_op"] =
         static_cast<double>(fences) / static_cast<double>(ops ? ops : 1);

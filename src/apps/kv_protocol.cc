@@ -185,13 +185,6 @@ KvCacheCodec::makeReadResponse(std::string_view key,
     return out;
 }
 
-bool
-isNearDataVerb(const std::string &verb)
-{
-    return verb == "INCR" || verb == "INCRBY" || verb == "APPEND" ||
-           verb == "CAS";
-}
-
 namespace {
 
 /** Decoded argv views of a near-data payload (zero-copy). */

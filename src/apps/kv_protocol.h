@@ -120,9 +120,6 @@ class KvCacheCodec : public pmnetdev::CacheCodec
     /** @} */
 };
 
-/** True for the RMW verbs a NearDataReq can carry. */
-bool isNearDataVerb(const std::string &verb);
-
 } // namespace pmnet::apps
 
 #endif // PMNET_APPS_KV_PROTOCOL_H

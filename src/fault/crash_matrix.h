@@ -25,7 +25,7 @@
  *
  * In group-commit mode an ack is also a violation when no fence has
  * retired since its op returned, and a crash must roll the open batch
- * back without running any of its completions.
+ * back without acking any of its ops.
  *
  * This is the Correct/NearPM-style "crash at every ordering point"
  * methodology applied to all six backends, instead of the random
@@ -67,10 +67,10 @@ struct CrashMatrixConfig
     int maxCrashes = 0;
     /**
      * Ack point. 0 acks each op when it returns. N > 0 stages each
-     * op's ack into a pm::CommitEpoch that closes every N ops (and
-     * once more after the last op) on a real PmHeap::fence(), and
-     * releases it when that fence has retired; crashes then also land
-     * inside open epochs and inside the batch fence itself.
+     * op into a pm::CommitEpoch that closes every N ops (and once more
+     * after the last op); each close runs a real PmHeap::fence() and
+     * then acks the epoch's ops, so crashes also land inside open
+     * epochs and inside the batch fence itself.
      */
     std::uint32_t epochOps = 0;
 };

@@ -1,7 +1,6 @@
 #include "pm/commit_epoch.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace pmnet::pm {
 
@@ -17,33 +16,33 @@ epochCloseReasonName(EpochCloseReason reason)
     return "?";
 }
 
-CommitEpoch::CommitEpoch(CommitEpochConfig config, FenceFn fence)
-    : config_(config), fence_(std::move(fence))
-{
-}
+CommitEpoch::CommitEpoch(CommitEpochConfig config) : config_(config) {}
 
 CommitEpoch::StageResult
-CommitEpoch::stage(std::size_t bytes, Completion on_durable, Tick now)
+CommitEpoch::stage(std::size_t bytes, Tick now)
 {
     StageResult result;
-    if (staged_.empty()) {
+    if (openOps_ == 0) {
         openedAt_ = now;
         epochSeq_++;
         result.opened = true;
     }
-    staged_.push_back(std::move(on_durable));
+    if (openOps_ == 0 || now != lastStagedAt_) {
+        opsBeforeLastStage_ = openOps_;
+        lastStagedAt_ = now;
+    }
+    openOps_++;
     openBytes_ += bytes;
-    stats_.acksDeferred++;
     result.epochSeq = epochSeq_;
     result.shouldClose = openBytes_ >= config_.maxBytes ||
-                         staged_.size() >= config_.maxOps;
+                         openOps_ >= config_.maxOps;
     return result;
 }
 
 std::size_t
-CommitEpoch::close(EpochCloseReason reason, Tick now)
+CommitEpoch::close(EpochCloseReason reason, Tick now, Tick release_at)
 {
-    if (staged_.empty())
+    if (openOps_ == 0)
         return 0;
 
     stats_.epochsClosed++;
@@ -53,10 +52,13 @@ CommitEpoch::close(EpochCloseReason reason, Tick now)
       case EpochCloseReason::Doorbell: stats_.closedByDoorbell++; break;
       case EpochCloseReason::Drain: stats_.closedByDrain++; break;
     }
-    stats_.opsCommitted += staged_.size();
+    stats_.opsCommitted += openOps_;
     stats_.bytesCommitted += openBytes_;
+    stats_.acksDeferred += release_at > now || lastStagedAt_ != now
+                               ? openOps_
+                               : opsBeforeLastStage_;
     stats_.maxBatchOps =
-        std::max<std::uint64_t>(stats_.maxBatchOps, staged_.size());
+        std::max<std::uint64_t>(stats_.maxBatchOps, openOps_);
     stats_.maxBatchBytes =
         std::max<std::uint64_t>(stats_.maxBatchBytes, openBytes_);
     std::uint64_t held =
@@ -65,36 +67,18 @@ CommitEpoch::close(EpochCloseReason reason, Tick now)
     stats_.holdTicksTotal += held;
     stats_.maxHoldTicks = std::max(stats_.maxHoldTicks, held);
 
-    // Reset the epoch before running anything: the fence hook may
-    // crash-throw (fault injection) and completions may stage into a
-    // fresh epoch.
-    running_.clear();
-    staged_.swap(running_);
-    std::size_t released = running_.size();
+    std::size_t closed = openOps_;
+    openOps_ = 0;
     openBytes_ = 0;
-
-    if (fence_)
-        fence_();
-    for (Completion &done : running_)
-        done();
-    running_.clear();
-    return released;
-}
-
-std::size_t
-CommitEpoch::closeIfCurrent(std::uint64_t seq, Tick now)
-{
-    if (staged_.empty() || epochSeq_ != seq)
-        return 0;
-    return close(EpochCloseReason::Doorbell, now);
+    return closed;
 }
 
 std::size_t
 CommitEpoch::abandon()
 {
-    std::size_t dropped = staged_.size();
+    std::size_t dropped = openOps_;
     stats_.opsAbandoned += dropped;
-    staged_.clear();
+    openOps_ = 0;
     openBytes_ = 0;
     return dropped;
 }

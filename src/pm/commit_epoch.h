@@ -10,12 +10,17 @@
  * acked-durability holds by construction — an ack cannot leave before
  * the fence that covers its log write has retired.
  *
- * CommitEpoch is a passive accumulator with no simulator dependency:
- * callers decide *when* to close (bytes threshold, op count, or a
- * doorbell timer they arm on epoch open) and *what* a fence costs
- * (the device models fence latency on simulated time; the crash-matrix
- * harness wires FenceFn to a real PmHeap::fence so the boundary hooks
- * fire). Completions run in stage order after the fence hook.
+ * CommitEpoch keeps only the close policy and its counters. It holds
+ * no ops, no acks and no fence: the owner keeps its staged writes,
+ * decides *when* to close (on StageResult::shouldClose, or from a
+ * doorbell timer it arms on epoch open and checks with stillOpen()),
+ * runs the fence, and releases the acks once the fence retires. The
+ * device keeps one pending-write list for that (a write's phase:
+ * queued in SRAM, staged, fencing) and models fence latency on
+ * simulated time; the crash-matrix harness calls a real
+ * PmHeap::fence() after each close so the boundary hooks fire.
+ * `acksDeferred` counts the ops whose ack left at a later tick than
+ * the op was staged, which close() derives from its release tick.
  */
 
 #ifndef PMNET_PM_COMMIT_EPOCH_H
@@ -23,8 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/time.h"
 
@@ -62,7 +65,8 @@ struct CommitEpochStats
     std::uint64_t closedByDrain = 0;
     std::uint64_t opsCommitted = 0;
     std::uint64_t bytesCommitted = 0;
-    std::uint64_t acksDeferred = 0;   ///< total ops that waited on a fence
+    /** Ops whose ack left at a later tick than the op was staged. */
+    std::uint64_t acksDeferred = 0;
     std::uint64_t opsAbandoned = 0;   ///< staged-unfenced ops lost to power
     std::uint64_t maxBatchOps = 0;
     std::uint64_t maxBatchBytes = 0;
@@ -73,11 +77,6 @@ struct CommitEpochStats
 class CommitEpoch
 {
   public:
-    /** Runs once per epoch close, before any completion. */
-    using FenceFn = std::function<void()>;
-    /** Runs after the covering fence retired (send the PmnetAck). */
-    using Completion = std::function<void()>;
-
     /** What stage() tells the caller to do next. */
     struct StageResult
     {
@@ -85,59 +84,63 @@ class CommitEpoch
         bool opened = false;
         /** Bytes/ops threshold hit — close the epoch now. */
         bool shouldClose = false;
-        /** Identity of the open epoch (doorbell staleness check). */
+        /** Identity of the open epoch (see stillOpen()). */
         std::uint64_t epochSeq = 0;
     };
 
-    explicit CommitEpoch(CommitEpochConfig config = {},
-                         FenceFn fence = {});
+    explicit CommitEpoch(CommitEpochConfig config = {});
 
     /**
-     * Stage one log write of @p bytes into the open epoch (opening one
-     * if none is). @p on_durable is held until the epoch's fence
-     * retires. Never closes the epoch itself — the caller reacts to
-     * StageResult::shouldClose so it can model fence latency first.
+     * Stage one log write of @p bytes at @p now into the open epoch
+     * (opening one if none is). Never closes the epoch itself — the
+     * caller reacts to StageResult::shouldClose so it can model the
+     * fence first. Ticks must not decrease from one stage to the next.
      */
-    StageResult stage(std::size_t bytes, Completion on_durable,
-                      Tick now);
+    StageResult stage(std::size_t bytes, Tick now);
 
     /**
-     * Close the open epoch: bump counters, run the fence hook once,
-     * then run the staged completions in stage order.
+     * Close the open epoch at @p now and count it. Its fence retires,
+     * and the owner releases its acks, at @p release_at (>= @p now):
+     * at a later tick every op was deferred, at @p now only the ops
+     * staged before it.
      *
-     * @return completions released (0 when no epoch was open).
+     * @return ops closed (0 when no epoch was open).
      */
-    std::size_t close(EpochCloseReason reason, Tick now);
+    std::size_t close(EpochCloseReason reason, Tick now, Tick release_at);
 
     /**
-     * Doorbell-timer entry: close only if epoch @p seq is still the
-     * open one (a threshold close may have beaten the timer).
-     */
-    std::size_t closeIfCurrent(std::uint64_t seq, Tick now);
-
-    /**
-     * Power failure: drop staged-unfenced ops without completing them.
-     * Their log writes were never covered by a fence, so the caller
-     * must also roll back whatever the completions guarded.
+     * Power failure: drop the open epoch's ops. Their log writes were
+     * never covered by a fence, so the caller must roll them back and
+     * never ack them.
      *
      * @return ops abandoned.
      */
     std::size_t abandon();
 
-    bool open() const { return !staged_.empty(); }
-    std::size_t openOps() const { return staged_.size(); }
+    /**
+     * True while epoch @p seq (a StageResult::epochSeq) is still the
+     * open one: a doorbell timer armed for it must not close a later
+     * epoch after a threshold close beat it.
+     */
+    bool stillOpen(std::uint64_t seq) const
+    {
+        return openOps_ != 0 && epochSeq_ == seq;
+    }
+
+    bool open() const { return openOps_ != 0; }
+    std::size_t openOps() const { return openOps_; }
     std::size_t openBytes() const { return openBytes_; }
-    std::uint64_t epochSeq() const { return epochSeq_; }
     const CommitEpochConfig &config() const { return config_; }
     const CommitEpochStats &stats() const { return stats_; }
 
   private:
     CommitEpochConfig config_;
-    FenceFn fence_;
-    std::vector<Completion> staged_;
-    std::vector<Completion> running_; ///< reused close-time scratch
+    std::size_t openOps_ = 0;
     std::size_t openBytes_ = 0;
     Tick openedAt_ = 0;
+    Tick lastStagedAt_ = 0;
+    /** Open ops staged before lastStagedAt_ (deferred by a close then). */
+    std::size_t opsBeforeLastStage_ = 0;
     std::uint64_t epochSeq_ = 0;
     CommitEpochStats stats_;
 };

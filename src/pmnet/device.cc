@@ -23,10 +23,9 @@ PmnetDevice::PmnetDevice(sim::Simulator &simulator,
                                          config.epochMaxHold}),
       cache_(config.cacheCapacity)
 {
-    stagedHashes_.reserve(config_.epochOps);
-    // Bounded by concurrent SRAM-queued PM writes; sized once so the
-    // persist hot path never reallocates.
-    inflightLogWrites_.reserve(64);
+    // Bounded by the SRAM-queued writes plus the unretired epochs;
+    // reserved once so the persist hot path does not allocate.
+    pending_.reserve(64);
 }
 
 void
@@ -41,16 +40,6 @@ PmnetDevice::traceEvent(const char *what, const net::Packet &pkt)
     if (trace_)
         trace_->record(now(), formatMessage("%s %s", what,
                                             net::describe(pkt).c_str()));
-}
-
-void
-PmnetDevice::scheduleGuarded(TickDelta delay, std::function<void()> fn)
-{
-    std::uint64_t epoch = epoch_;
-    schedule(delay, [this, epoch, fn = std::move(fn)]() {
-        if (epoch == epoch_ && isUp())
-            fn();
-    });
 }
 
 void
@@ -236,24 +225,21 @@ PmnetDevice::LogAttempt
 PmnetDevice::tryLogAndAck(const PacketPtr &pkt)
 {
     const net::PmnetHeader &header = *pkt->pmnet;
+    if (findPending(header.hashVal) != pending_.end()) {
+        // Resend racing the original's pending write (queued in SRAM,
+        // or logged but its fence not retired): not durable yet, and
+        // the original's first ACK answers it. Admitting this copy
+        // would log (and ack) the same packet twice.
+        return LogAttempt::Duplicate;
+    }
     if (store_.lookup(header.hashVal)) {
-        // Duplicate of an already-logged packet (client resend after
-        // a lost ACK). Re-ACK only when its covering fence already
-        // retired: a staged-unfenced entry is not durable yet — the
-        // fence retirement will send the first ACK.
-        if (stagedUnfenced(header.hashVal))
-            return LogAttempt::Duplicate;
+        // Duplicate of a durably logged packet (client resend after a
+        // lost ACK): re-ACK.
         stats_.updatesReAcked++;
         if (recorder_)
             recorder_->stampAt(pkt->requestId, obs::Stamp::PersistStage,
                                now());
         sendPmnetAck(pkt);
-        return LogAttempt::Duplicate;
-    }
-    if (logWriteInFlight(header.hashVal)) {
-        // Resend racing the original's queued PM write: that write's
-        // completion sends the first ACK. Admitting this copy would
-        // log (and ack) the same packet twice.
         return LogAttempt::Duplicate;
     }
     if (pkt->wireSize() > config_.pm.slotBytes) {
@@ -272,26 +258,9 @@ PmnetDevice::tryLogAndAck(const PacketPtr &pkt)
         if (recorder_)
             recorder_->stampAt(pkt->requestId, obs::Stamp::PersistStart,
                                now());
-        inflightLogWrites_.push_back(header.hashVal);
-        scheduleGuarded(*done - now(), [this, pkt]() {
-            const net::PmnetHeader &h = *pkt->pmnet;
-            logWriteLanded(h.hashVal);
-            auto result = store_.insert(h.hashVal, pkt, now());
-            if (result != pm::LogInsertResult::Ok &&
-                result != pm::LogInsertResult::Duplicate) {
-                // Lost a race for the slot while queued; the client
-                // will fall back to the server ACK.
-                stats_.bypassStoreRace++;
-                traceEvent("slot-race bypass", *pkt);
-                return;
-            }
-            stats_.updatesLogged++;
-            if (recorder_)
-                recorder_->stampAt(pkt->requestId,
-                                   obs::Stamp::PersistStage, now());
-            finishLoggedWrite(pkt);
-            scheduleReforwardScan();
-        });
+        pending_.push_back(PendingWrite{pkt});
+        scheduleGuarded(*done - now(),
+                        [this, pkt]() { finishLoggedWrite(pkt); });
         return LogAttempt::Logged;
     }
     stats_.bypassQueueFull++;
@@ -333,23 +302,24 @@ PmnetDevice::respondForServer(const net::Packet &req, Bytes payload)
 void
 PmnetDevice::finishLoggedWrite(const PacketPtr &pkt)
 {
-    stagedHashes_.push_back(pkt->pmnet->hashVal);
-    auto staged = commitEpoch_.stage(
-        pkt->wireSize(),
-        [this, pkt]() {
-            // Runs at epoch close; the ACK leaves once the epoch's
-            // fence (one stall per epoch, issued by closeCommitEpoch)
-            // has retired — at once when it retired at the close.
-            auto ack = [this, pkt]() {
-                traceEvent("logged+ack", *pkt);
-                sendPmnetAck(pkt);
-            };
-            if (fenceRetireAt_ > now())
-                scheduleGuarded(fenceRetireAt_ - now(), std::move(ack));
-            else
-                ack();
-        },
-        now());
+    const std::uint32_t hash_val = pkt->pmnet->hashVal;
+    auto write = findPending(hash_val);
+    auto result = store_.insert(hash_val, pkt, now());
+    if (result != pm::LogInsertResult::Ok &&
+        result != pm::LogInsertResult::Duplicate) {
+        // Lost a race for the slot while queued; the client will fall
+        // back to the server ACK.
+        pending_.erase(write);
+        stats_.bypassStoreRace++;
+        traceEvent("slot-race bypass", *pkt);
+        return;
+    }
+    stats_.updatesLogged++;
+    if (recorder_)
+        recorder_->stampAt(pkt->requestId, obs::Stamp::PersistStage,
+                           now());
+    write->phase = WritePhase::Staged;
+    auto staged = commitEpoch_.stage(pkt->wireSize(), now());
     if (staged.shouldClose) {
         closeCommitEpoch(commitEpoch_.openBytes() >=
                                  commitEpoch_.config().maxBytes
@@ -357,86 +327,67 @@ PmnetDevice::finishLoggedWrite(const PacketPtr &pkt)
                              : pm::EpochCloseReason::Ops);
     } else if (staged.opened) {
         // Doorbell: bound the ACK hold time even if the epoch never
-        // fills. A threshold close in the meantime makes this a no-op
-        // (the epoch sequence number will have moved on).
+        // fills. A threshold close in the meantime makes it stale.
         scheduleGuarded(config_.epochMaxHold,
                         [this, seq = staged.epochSeq]() {
-                            if (commitEpoch_.open() &&
-                                commitEpoch_.epochSeq() == seq)
+                            if (commitEpoch_.stillOpen(seq))
                                 closeCommitEpoch(
                                     pm::EpochCloseReason::Doorbell);
                         });
     }
+    scheduleReforwardScan();
 }
 
 void
 PmnetDevice::closeCommitEpoch(pm::EpochCloseReason reason)
 {
     // One stall on the write queue per epoch — that is the whole
-    // point of the batching. The staged entries only become durable
-    // when that fence *retires*: until then they stay in a pending
-    // batch that a power failure rolls back (their deferred ACKs are
-    // epoch-guarded and die with them), and duplicates keep waiting
-    // for the deferred ACK instead of being re-ACKed early.
-    fenceRetireAt_ = config_.fenceLatency > 0
-                         ? writeQueue_.stall(config_.fenceLatency, now())
-                         : now();
-    if (!stagedHashes_.empty() && fenceRetireAt_ > now()) {
-        fencePending_.push_back(
-            FenceBatch{fenceRetireAt_, std::move(stagedHashes_)});
-        scheduleGuarded(fenceRetireAt_ - now(),
-                        [this]() { retireFencedBatches(); });
-    }
-    stagedHashes_.clear();
-    commitEpoch_.close(reason, now());
-}
-
-void
-PmnetDevice::retireFencedBatches()
-{
-    // Batches retire oldest-first (the per-epoch stalls serialize on
-    // the write queue, so retire ticks are monotonic).
-    std::size_t retired = 0;
-    while (retired < fencePending_.size() &&
-           fencePending_[retired].retireAt <= now())
-        retired++;
-    fencePending_.erase(fencePending_.begin(),
-                        fencePending_.begin() +
-                            static_cast<std::ptrdiff_t>(retired));
-}
-
-bool
-PmnetDevice::stagedUnfenced(std::uint32_t hash_val) const
-{
-    for (std::uint32_t staged : stagedHashes_)
-        if (staged == hash_val)
-            return true;
-    for (const FenceBatch &batch : fencePending_)
-        for (std::uint32_t staged : batch.hashes)
-            if (staged == hash_val)
-                return true;
-    return false;
-}
-
-bool
-PmnetDevice::logWriteInFlight(std::uint32_t hash_val) const
-{
-    for (std::uint32_t pending : inflightLogWrites_)
-        if (pending == hash_val)
-            return true;
-    return false;
-}
-
-void
-PmnetDevice::logWriteLanded(std::uint32_t hash_val)
-{
-    for (std::uint32_t &pending : inflightLogWrites_) {
-        if (pending == hash_val) {
-            pending = inflightLogWrites_.back();
-            inflightLogWrites_.pop_back();
-            return;
+    // point of the batching. The staged writes only become durable
+    // when that fence *retires*: until then they stay fencing, a
+    // power failure rolls them back, and duplicates keep waiting for
+    // the first ACK instead of being re-ACKed early.
+    const Tick retire_at =
+        config_.fenceLatency > 0
+            ? writeQueue_.stall(config_.fenceLatency, now())
+            : now();
+    commitEpoch_.close(reason, now(), retire_at);
+    for (PendingWrite &write : pending_) {
+        if (write.phase == WritePhase::Staged) {
+            write.phase = WritePhase::Fencing;
+            write.retireAt = retire_at;
         }
     }
+    if (retire_at > now())
+        scheduleGuarded(retire_at - now(),
+                        [this]() { releaseRetiredAcks(); });
+    else
+        releaseRetiredAcks();
+}
+
+void
+PmnetDevice::releaseRetiredAcks()
+{
+    // Epochs close and retire in admission order, so the retired
+    // writes are a prefix of pending_; their ACKs leave in stage
+    // order.
+    auto retired = pending_.begin();
+    while (retired != pending_.end() &&
+           retired->phase == WritePhase::Fencing &&
+           retired->retireAt <= now()) {
+        traceEvent("logged+ack", *retired->pkt);
+        sendPmnetAck(retired->pkt);
+        ++retired;
+    }
+    pending_.erase(pending_.begin(), retired);
+}
+
+std::vector<PmnetDevice::PendingWrite>::iterator
+PmnetDevice::findPending(std::uint32_t hash_val)
+{
+    return std::find_if(pending_.begin(), pending_.end(),
+                        [hash_val](const PendingWrite &write) {
+                            return write.pkt->pmnet->hashVal == hash_val;
+                        });
 }
 
 void
@@ -760,16 +711,11 @@ PmnetDevice::handleResilverPush(const PacketPtr &pkt)
         return;
     }
 
-    const std::uint32_t hash_val = rebuilt->pmnet->hashVal;
-    if (store_.lookup(hash_val) || logWriteInFlight(hash_val)) {
-        // Already held (or landing): re-silvering is idempotent.
-        stats_.resilverSkipped++;
-        return;
-    }
     if (rebuilt->wireSize() > config_.pm.slotBytes || store_.full() ||
-        !store_.slotFree(hash_val)) {
-        // Same degradations as the live logging path; the entry stays
-        // recoverable from the surviving replica.
+        !store_.slotFree(rebuilt->pmnet->hashVal)) {
+        // Same degradations as the live logging path (an entry already
+        // held fills its slot); the entry stays recoverable from the
+        // surviving replica.
         stats_.resilverSkipped++;
         return;
     }
@@ -781,7 +727,8 @@ void
 PmnetDevice::resilverAdmit(net::PacketPtr restored)
 {
     const std::uint32_t hash_val = restored->pmnet->hashVal;
-    if (store_.lookup(hash_val) || logWriteInFlight(hash_val)) {
+    if (store_.lookup(hash_val) || findPending(hash_val) != pending_.end()) {
+        // Already held or landing: re-silvering is idempotent.
         stats_.resilverSkipped++;
         return;
     }
@@ -796,10 +743,10 @@ PmnetDevice::resilverAdmit(net::PacketPtr restored)
                         });
         return;
     }
-    inflightLogWrites_.push_back(hash_val);
+    pending_.push_back(PendingWrite{restored});
     scheduleGuarded(*done - now(), [this, restored]() {
         const std::uint32_t h = restored->pmnet->hashVal;
-        logWriteLanded(h);
+        pending_.erase(findPending(h));
         auto result = store_.insert(h, restored, now());
         if (result == pm::LogInsertResult::Ok) {
             stats_.resilverLogged++;
@@ -946,20 +893,15 @@ void
 PmnetDevice::onPowerFail()
 {
     // SRAM queues, the cache and all in-flight pipeline work are
-    // volatile; the committed log slots in PM survive. Log writes
-    // staged in an open commit epoch — and in closed epochs whose
-    // batch fence has not retired yet — were never covered by a
-    // retired fence; their acks were still deferred, so they roll
-    // back: P1 acked-durability holds by construction.
+    // volatile; the committed log slots in PM survive. Staged and
+    // fencing writes were never covered by a retired fence and their
+    // first ACK never left, so they roll back: P1 acked-durability
+    // holds by construction.
     epoch_++;
-    for (std::uint32_t hash_val : stagedHashes_)
-        store_.erase(hash_val);
-    stagedHashes_.clear();
-    for (const FenceBatch &batch : fencePending_)
-        for (std::uint32_t hash_val : batch.hashes)
-            store_.erase(hash_val);
-    fencePending_.clear();
-    inflightLogWrites_.clear();
+    for (const PendingWrite &write : pending_)
+        if (write.phase != WritePhase::Queued)
+            store_.erase(write.pkt->pmnet->hashVal);
+    pending_.clear();
     resilverActive_ = false;
     reforwardScanPending_ = false;
     commitEpoch_.abandon();

@@ -37,6 +37,7 @@
 #define PMNET_PMNET_DEVICE_H
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/trace.h"
@@ -343,9 +344,19 @@ class PmnetDevice : public net::ForwardingNode
 
     /**
      * Schedule @p fn guarded by the device epoch: it silently does
-     * nothing if the device lost power in between.
+     * nothing if the device lost power in between. A template, so a
+     * closure holding `this` and a PacketPtr fits the event's inline
+     * buffer instead of a heap-allocated std::function.
      */
-    void scheduleGuarded(TickDelta delay, std::function<void()> fn);
+    template <typename Fn>
+    void
+    scheduleGuarded(TickDelta delay, Fn fn)
+    {
+        schedule(delay, [this, epoch = epoch_, fn = std::move(fn)]() mutable {
+            if (epoch == epoch_ && isUp())
+                fn();
+        });
+    }
 
     /** Application key of an update payload, if parseable. */
     std::optional<ParsedUpdate> parsedKeyOf(const net::Packet &pkt) const;
@@ -355,22 +366,22 @@ class PmnetDevice : public net::ForwardingNode
     {
         Logged,    ///< admitted: the log will cover this packet
         Bypassed,  ///< degradation path: forward-only, server ACKs
-        Duplicate, ///< resend of a logged / staged / in-flight packet
+        Duplicate, ///< resend of a logged or pending packet
     };
 
     /**
      * Shared logging attempt for UpdateReq/NearDataReq: duplicate
      * re-ACK, bypass degradations, SRAM admission, and the PM-write
-     * continuation. Duplicate covers committed entries, staged
-     * entries whose fence has not retired, and writes still queued in
-     * SRAM — a resend must never be logged (or served) twice.
+     * continuation. Duplicate covers committed entries and pending
+     * writes (queued, staged or fencing) — a resend must never be
+     * logged (or served) twice, nor re-ACKed before it is durable.
      */
     LogAttempt tryLogAndAck(const net::PacketPtr &pkt);
 
     /**
-     * The log write for @p pkt completed (entry in the store): stage
-     * its ACK into the open epoch, then close the epoch at a threshold
-     * or arm the doorbell if this write opened it.
+     * The log write for @p pkt completed: insert it into the store,
+     * stage it into the open epoch, then close the epoch at a
+     * threshold or arm the doorbell if this write opened it.
      */
     void finishLoggedWrite(const net::PacketPtr &pkt);
 
@@ -392,24 +403,33 @@ class PmnetDevice : public net::ForwardingNode
      */
     void trackUnlogged(std::uint32_t hash_val, const KeyRef &key);
 
-    /** Close the open epoch: one batch fence covers the staged writes. */
+    /**
+     * Close the open epoch: one fence, one write-queue stall, covers
+     * its staged writes; their ACKs leave when it retires.
+     */
     void closeCommitEpoch(pm::EpochCloseReason reason);
 
-    /** Drop fence batches whose retire tick has passed (now durable). */
-    void retireFencedBatches();
+    /** Send the ACKs of the fencing writes whose fence has retired. */
+    void releaseRetiredAcks();
 
-    /**
-     * True while @p hash_val sits in the open epoch or in a closed
-     * batch whose fence has not retired yet — in both cases the entry
-     * is not durable and must not be re-ACKed.
-     */
-    bool stagedUnfenced(std::uint32_t hash_val) const;
+    /** Where a pending log write is on its way to its first ACK. */
+    enum class WritePhase : std::uint8_t
+    {
+        Queued,  ///< admitted to the SRAM write queue, not in PM yet
+        Staged,  ///< in the store, in the open epoch
+        Fencing, ///< in the store, its epoch's fence not retired yet
+    };
 
-    /** True while @p hash_val has a log write queued in SRAM. */
-    bool logWriteInFlight(std::uint32_t hash_val) const;
+    /** A log write whose first PMNet-ACK has not left. */
+    struct PendingWrite
+    {
+        net::PacketPtr pkt;
+        WritePhase phase = WritePhase::Queued;
+        Tick retireAt = 0; ///< Fencing: when the epoch's fence retires
+    };
 
-    /** The queued log write for @p hash_val reached PM (or died). */
-    void logWriteLanded(std::uint32_t hash_val);
+    /** The pending write for @p hash_val, or pending_.end(). */
+    std::vector<PendingWrite>::iterator findPending(std::uint32_t hash_val);
 
     DeviceConfig config_;
     DeviceStats stats_;
@@ -418,34 +438,14 @@ class PmnetDevice : public net::ForwardingNode
     pm::LogQueue readQueue_;
     pm::CommitEpoch commitEpoch_;
     /**
-     * hashVals staged in the open epoch; their store entries are not
-     * yet covered by a fence, so a power failure rolls them back and
-     * a duplicate arrival must not be re-ACKed from them.
+     * Log writes whose first PMNet-ACK has not left, in admission
+     * order. The write queue is FIFO, so writes land, stage, close and
+     * retire in this order too: retired entries are always a prefix.
+     * Staged and fencing entries are in the store but not durable —
+     * a duplicate must not be re-ACKed from them, and a power failure
+     * rolls them back. Resilver writes stay only while queued.
      */
-    std::vector<std::uint32_t> stagedHashes_;
-    /** A closed epoch whose batch fence has not retired yet. */
-    struct FenceBatch
-    {
-        Tick retireAt;
-        std::vector<std::uint32_t> hashes;
-    };
-    /**
-     * Closed-but-unretired batches, oldest first (retire ticks are
-     * monotonic: each close stalls the same write queue). Entries
-     * here are still volatile — a power failure before retireAt rolls
-     * them back exactly like open-epoch stages; their deferred ACKs
-     * are epoch-guarded and die with them.
-     */
-    std::vector<FenceBatch> fencePending_;
-    /** When the most recent epoch's batch fence retires (acks wait). */
-    Tick fenceRetireAt_ = 0;
-    /**
-     * hashVals admitted to the SRAM write queue whose PM write has
-     * not completed. A duplicate racing this window must not be
-     * admitted again (double log write, and — for near-data — a
-     * double-applied RMW). Bounded by the SRAM queue depth.
-     */
-    std::vector<std::uint32_t> inflightLogWrites_;
+    std::vector<PendingWrite> pending_;
     ReadCache cache_;
     const CacheCodec *codec_ = nullptr;
 

@@ -124,15 +124,6 @@ struct TestbedConfig
      */
     TickDelta serverReplicationCommitDelay = 0;
 
-    /**
-     * Route RMW verbs (INCR/INCRBY/APPEND/CAS) as NearDataReq
-     * packets: still logged in-network like updates, but a PMNet
-     * device holding the key in its cache computes and answers the
-     * RMW in-flight (NearPM-style near-data op). Off keeps them
-     * ordinary update-req commands.
-     */
-    bool nearDataOps = false;
-
     ServerKind serverKind = ServerKind::CommandStore;
     kv::KvKind storeKind = kv::KvKind::Hashmap;
 

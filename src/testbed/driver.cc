@@ -90,17 +90,6 @@ ClientDriver::issueCurrent()
     std::uint64_t key_hash = commandKeyHash(cmd);
     Tick issued_at = sim_.now();
 
-    if (cls == CommandClass::Update && config_.nearDataOps &&
-        apps::isNearDataVerb(cmd.verb())) {
-        // NearPM-style near-data op: logged like an update, answered
-        // in-flight by a caching device (or by the server).
-        lib_.sendNearData(std::move(payload), key_hash,
-                          [this, issued_at](const Bytes &) {
-                              recordAndAdvance(issued_at, true);
-                          });
-        return;
-    }
-
     if (cls == CommandClass::Update) {
         if (config_.mode == SystemMode::ClientSideLogging) {
             // Fig 17a: the update is persisted by the local logger;
@@ -180,15 +169,6 @@ ClientDriver::issueOpenLoop(const Command &cmd)
     std::uint64_t key_hash = commandKeyHash(cmd);
     Tick issued_at = sim_.now();
     outstanding_++;
-
-    if (cls == CommandClass::Update && config_.nearDataOps &&
-        apps::isNearDataVerb(cmd.verb())) {
-        lib_.sendNearData(std::move(payload), key_hash,
-                          [this, issued_at](const Bytes &) {
-                              openLoopComplete(issued_at, true);
-                          });
-        return;
-    }
 
     if (cls == CommandClass::Update) {
         lib_.sendUpdate(std::move(payload), key_hash,

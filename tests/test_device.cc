@@ -177,6 +177,24 @@ TEST(Device, DuplicateUpdateReAcked)
         << "duplicates still forwarded (server dedups)";
 }
 
+TEST(Device, ResendWhileWriteQueuedLoggedAndAckedOnce)
+{
+    // Back to back, the resend reaches the pipeline while the
+    // original's PM write is still queued in SRAM: the original's
+    // first ACK answers both.
+    DeviceRig rig;
+    auto pkt = rig.update(1);
+    rig.fromClient(pkt);
+    rig.fromClient(pkt);
+    rig.sim.run();
+    EXPECT_EQ(rig.stat("updatesLogged"), 1u);
+    EXPECT_EQ(rig.dev->writeQueue().admitted(), 1u);
+    EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 1u);
+    EXPECT_EQ(rig.stat("updatesReAcked"), 0u);
+    EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), 2u)
+        << "duplicates still forwarded (server dedups)";
+}
+
 TEST(Device, CollisionBypassesLogging)
 {
     DeviceConfig config;
@@ -560,6 +578,31 @@ TEST(DeviceStream, ResilverSkipsEntryAckedMidStream)
         << "the stream ended on a skipped entry";
 }
 
+TEST(DeviceStream, ResilverPushTwiceWritesOnce)
+{
+    DeviceRig rig;
+    rig.fromClient(rig.update(1));
+    rig.sim.run();
+    // The server probe stands in for the peer: capture the push.
+    rig.dev->resilverTo(rig.server->id());
+    rig.sim.run();
+    PacketPtr push = rig.server->lastOfType(PacketType::ResilverPush);
+    ASSERT_TRUE(push);
+
+    // A replacement unit gets the same push twice back to back; the
+    // second arrives while the first's PM write is still queued.
+    DeviceRig peer;
+    for (int copy = 0; copy < 2; copy++)
+        peer.fromServer(net::makePmnetPacket(
+            peer.server->id(), peer.dev->id(), PacketType::ResilverPush,
+            push->pmnet->sessionId, push->pmnet->seqNum, push->payload));
+    peer.sim.run();
+    EXPECT_EQ(peer.dev->writeQueue().admitted(), 1u);
+    EXPECT_EQ(peer.stat("resilverLogged"), 1u);
+    EXPECT_EQ(peer.stat("resilverSkipped"), 1u);
+    EXPECT_EQ(peer.dev->logStore().size(), 1u);
+}
+
 // ------------------------------------------------------ power failure
 
 TEST(Device, LogSurvivesPowerFailure)
@@ -794,7 +837,9 @@ TEST(GroupCommit, OpsThresholdClosesAndAcksWholeBatch)
     EXPECT_EQ(epoch.epochsClosed, 1u);
     EXPECT_EQ(epoch.closedByOps, 1u);
     EXPECT_EQ(epoch.closedByDoorbell, 0u);
-    EXPECT_EQ(epoch.acksDeferred, 4u);
+    // The fourth write closes the epoch and is ACKed in the same
+    // event: only the first three waited.
+    EXPECT_EQ(epoch.acksDeferred, 3u);
     EXPECT_EQ(epoch.opsCommitted, 4u);
     EXPECT_EQ(epoch.maxBatchOps, 4u);
 }
@@ -811,6 +856,31 @@ TEST(GroupCommit, DoorbellClosesPartialEpoch)
     EXPECT_EQ(epoch.epochsClosed, 1u);
     EXPECT_EQ(epoch.closedByDoorbell, 1u);
     EXPECT_EQ(epoch.opsCommitted, 2u);
+}
+
+TEST(GroupCommit, StaleDoorbellLeavesNextEpochOpen)
+{
+    // Updates 1 and 2 fill the first epoch before its doorbell fires;
+    // update 3 opens the second. The first doorbell must not close it.
+    DeviceRig rig(epochConfig(2, microseconds(2)));
+    rig.fromClient(rig.update(1));
+    rig.fromClient(rig.update(2));
+    rig.sim.advanceTo(rig.sim.now() + nanoseconds(500));
+    rig.fromClient(rig.update(3));
+    const pm::CommitEpoch &epoch = rig.dev->commitEpoch();
+    const Tick deadline = rig.sim.now() + microseconds(10);
+    while (!(epoch.stats().epochsClosed == 1 && epoch.open()) &&
+           rig.sim.now() < deadline)
+        rig.sim.advanceTo(rig.sim.now() + 1);
+    ASSERT_TRUE(epoch.open()) << "update 3 never opened an epoch";
+
+    rig.sim.advanceTo(rig.sim.now() + nanoseconds(1900));
+    EXPECT_TRUE(epoch.open());
+    EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 2u);
+
+    rig.sim.run();
+    EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 3u);
+    EXPECT_EQ(epoch.stats().closedByDoorbell, 1u);
 }
 
 TEST(GroupCommit, AcksHeldWhileEpochOpen)

@@ -671,37 +671,31 @@ TEST(CommitEpoch, OpensOnFirstStageAndClosesByOps)
     CommitEpochConfig config;
     config.maxOps = 3;
     config.maxBytes = 1 << 20;
-    int fences = 0;
-    CommitEpoch epoch(config, [&]() { fences++; });
+    CommitEpoch epoch(config);
 
-    std::vector<int> released;
-    auto completion = [&](int i) {
-        return [&released, i]() { released.push_back(i); };
-    };
-
-    auto first = epoch.stage(100, completion(1), 10);
+    auto first = epoch.stage(100, 10);
     EXPECT_TRUE(first.opened);
     EXPECT_FALSE(first.shouldClose);
     EXPECT_TRUE(epoch.open());
-    auto second = epoch.stage(100, completion(2), 11);
+    auto second = epoch.stage(100, 11);
     EXPECT_FALSE(second.opened);
     EXPECT_FALSE(second.shouldClose);
-    auto third = epoch.stage(100, completion(3), 12);
+    auto third = epoch.stage(100, 12);
     EXPECT_TRUE(third.shouldClose);
-    EXPECT_TRUE(released.empty()) << "nothing completes before close";
+    EXPECT_TRUE(epoch.open()) << "stage never closes the epoch itself";
 
-    EXPECT_EQ(epoch.close(EpochCloseReason::Ops, 15), 3u);
-    EXPECT_EQ(fences, 1) << "one fence for the whole batch";
-    EXPECT_EQ(released, (std::vector<int>{1, 2, 3}))
-        << "completions run in staging order";
+    EXPECT_EQ(epoch.close(EpochCloseReason::Ops, 15, 15), 3u);
     EXPECT_FALSE(epoch.open());
+    EXPECT_EQ(epoch.close(EpochCloseReason::Drain, 16, 16), 0u)
+        << "nothing left to close";
 
     const CommitEpochStats &stats = epoch.stats();
     EXPECT_EQ(stats.epochsClosed, 1u);
     EXPECT_EQ(stats.closedByOps, 1u);
+    EXPECT_EQ(stats.closedByDrain, 0u);
     EXPECT_EQ(stats.opsCommitted, 3u);
     EXPECT_EQ(stats.bytesCommitted, 300u);
-    EXPECT_EQ(stats.acksDeferred, 3u);
+    EXPECT_EQ(stats.acksDeferred, 3u) << "all staged before the close";
     EXPECT_EQ(stats.maxBatchOps, 3u);
     EXPECT_EQ(stats.maxHoldTicks, 5u);
 }
@@ -712,75 +706,83 @@ TEST(CommitEpoch, ClosesByBytes)
     config.maxBytes = 250;
     config.maxOps = 100;
     CommitEpoch epoch(config);
-    EXPECT_FALSE(epoch.stage(200, []() {}, 0).shouldClose);
-    EXPECT_TRUE(epoch.stage(200, []() {}, 0).shouldClose);
-    epoch.close(EpochCloseReason::Bytes, 0);
+    EXPECT_FALSE(epoch.stage(200, 0).shouldClose);
+    EXPECT_TRUE(epoch.stage(200, 0).shouldClose);
+    epoch.close(EpochCloseReason::Bytes, 0, 0);
     EXPECT_EQ(epoch.stats().closedByBytes, 1u);
     EXPECT_EQ(epoch.stats().maxBatchBytes, 400u);
 }
 
-TEST(CommitEpoch, CloseIfCurrentIgnoresStaleDoorbell)
+TEST(CommitEpoch, SameTickCloseDefersOnlyEarlierStages)
+{
+    // Acks released at the close tick leave in the same tick as the
+    // ops staged then: only the earlier stages waited.
+    CommitEpoch epoch;
+    epoch.stage(10, 1);
+    epoch.stage(10, 5);
+    epoch.stage(10, 5);
+    EXPECT_EQ(epoch.close(EpochCloseReason::Ops, 5, 5), 3u);
+    EXPECT_EQ(epoch.stats().acksDeferred, 1u);
+
+    // Per-op fencing with a zero-cost fence defers nothing.
+    epoch.stage(10, 7);
+    epoch.close(EpochCloseReason::Ops, 7, 7);
+    EXPECT_EQ(epoch.stats().acksDeferred, 1u);
+    EXPECT_EQ(epoch.stats().opsCommitted, 4u);
+}
+
+TEST(CommitEpoch, LaterReleaseDefersEveryOp)
+{
+    // The fence retires after the close: every ack waits for it, the
+    // op staged in the closing tick too.
+    CommitEpoch epoch;
+    epoch.stage(10, 1);
+    epoch.stage(10, 5);
+    EXPECT_EQ(epoch.close(EpochCloseReason::Doorbell, 5, 9), 2u);
+    EXPECT_EQ(epoch.stats().acksDeferred, 2u);
+    EXPECT_EQ(epoch.stats().closedByDoorbell, 1u);
+}
+
+TEST(CommitEpoch, DoorbellSeqGoesStaleAtClose)
 {
     CommitEpoch epoch;
-    auto first = epoch.stage(10, []() {}, 0);
-    epoch.close(EpochCloseReason::Ops, 1);
-    auto second = epoch.stage(10, []() {}, 2);
+    auto first = epoch.stage(10, 0);
+    EXPECT_TRUE(epoch.stillOpen(first.epochSeq));
+    epoch.close(EpochCloseReason::Ops, 1, 1);
+    EXPECT_FALSE(epoch.stillOpen(first.epochSeq));
+    auto second = epoch.stage(10, 2);
     EXPECT_NE(first.epochSeq, second.epochSeq);
 
     // A doorbell armed for the first epoch must not close the second.
-    epoch.closeIfCurrent(first.epochSeq, 3);
-    EXPECT_TRUE(epoch.open());
-    epoch.closeIfCurrent(second.epochSeq, 4);
-    EXPECT_FALSE(epoch.open());
-    EXPECT_EQ(epoch.stats().closedByDoorbell, 1u);
+    EXPECT_FALSE(epoch.stillOpen(first.epochSeq));
+    EXPECT_TRUE(epoch.stillOpen(second.epochSeq));
 }
 
 TEST(CommitEpoch, AbandonDropsWithoutCompleting)
 {
     CommitEpoch epoch;
-    bool completed = false;
-    epoch.stage(10, [&]() { completed = true; }, 0);
-    epoch.stage(10, [&]() { completed = true; }, 0);
-    epoch.abandon();
-    EXPECT_FALSE(completed);
+    epoch.stage(10, 0);
+    epoch.stage(10, 0);
+    EXPECT_EQ(epoch.abandon(), 2u);
     EXPECT_FALSE(epoch.open());
+    EXPECT_EQ(epoch.openBytes(), 0u);
     EXPECT_EQ(epoch.stats().opsAbandoned, 2u);
     EXPECT_EQ(epoch.stats().epochsClosed, 0u);
+    EXPECT_EQ(epoch.stats().opsCommitted, 0u);
 }
 
-TEST(CommitEpoch, CompletionMayStageIntoFreshEpoch)
+TEST(CommitEpoch, StageAfterCloseOpensFreshEpoch)
 {
-    // The epoch state is reset before completions run, so a completion
-    // issuing the next request may stage immediately (the device's ACK
-    // path does exactly this under back-to-back load).
+    // The owner releases acks after close() returns, and the next
+    // request may stage in that same tick: it opens a fresh epoch.
     CommitEpoch epoch;
-    bool restaged_opened = false;
-    epoch.stage(10,
-                [&]() {
-                    auto next = epoch.stage(10, []() {}, 5);
-                    restaged_opened = next.opened;
-                },
-                0);
-    epoch.close(EpochCloseReason::Doorbell, 5);
-    EXPECT_TRUE(restaged_opened);
+    epoch.stage(10, 0);
+    epoch.close(EpochCloseReason::Doorbell, 5, 5);
+    auto next = epoch.stage(10, 5);
+    EXPECT_TRUE(next.opened);
     EXPECT_TRUE(epoch.open());
     EXPECT_EQ(epoch.openOps(), 1u);
-}
-
-TEST(CommitEpoch, FenceHookMayThrowLikeACrash)
-{
-    // The crash matrix throws from persist hooks; staged state must
-    // already be consistent (cleared) when the fence runs.
-    struct Boom
-    {
-    };
-    CommitEpoch epoch(CommitEpochConfig{},
-                      []() { throw Boom{}; });
-    bool completed = false;
-    epoch.stage(10, [&]() { completed = true; }, 0);
-    EXPECT_THROW(epoch.close(EpochCloseReason::Drain, 1), Boom);
-    EXPECT_FALSE(completed) << "crash before fence retire: no ACK";
-    EXPECT_FALSE(epoch.open());
+    EXPECT_EQ(epoch.openBytes(), 10u);
 }
 
 // --------------------------------------------------------- BDP sizing
