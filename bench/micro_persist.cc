@@ -9,9 +9,15 @@
  *    free and O(1) on the device hot path), and
  *  - fences_per_op on the PmHeap benchmarks: 1.0 under per-op fencing,
  *    1/epoch under group commit — the quantity the device amortizes.
+ *
+ * BM_HeapPerOpFence/1 runs the same loop on a heap whose durable image
+ * is a backing file, as pmnetd's heap.img is; /0 is DRAM only.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <stdlib.h>
+#include <unistd.h>
 
 #include "pm/commit_epoch.h"
 #include "pm/pm_heap.h"
@@ -41,11 +47,24 @@ BM_CommitEpochStage(benchmark::State &state)
 }
 BENCHMARK(BM_CommitEpochStage)->Arg(1)->Arg(8)->Arg(32);
 
-/** Per-op fencing on a real PmHeap: write, flush, fence, every op. */
+/** Per-op fencing on a real PmHeap: write, flush, fence, every op.
+ *  Argument 1 attaches a backing file first (unlinked at once: the
+ *  heap keeps it open and mapped). */
 void
 BM_HeapPerOpFence(benchmark::State &state)
 {
     pm::PmHeap heap(64ull << 20);
+    if (state.range(0) != 0) {
+        char path[] = "/tmp/pmnet_micro_persist_XXXXXX";
+        int fd = ::mkstemp(path);
+        if (fd < 0) {
+            state.SkipWithError("cannot create a backing file");
+            return;
+        }
+        ::close(fd);
+        heap.attachBackingFile(path);
+        ::unlink(path);
+    }
     pm::PmOffset off = heap.alloc(4096);
     char block[256] = {};
     std::uint64_t fences = 0;
@@ -64,7 +83,7 @@ BM_HeapPerOpFence(benchmark::State &state)
     state.counters["fences_per_op"] =
         static_cast<double>(fences) / static_cast<double>(ops ? ops : 1);
 }
-BENCHMARK(BM_HeapPerOpFence);
+BENCHMARK(BM_HeapPerOpFence)->Arg(0)->Arg(1);
 
 /** Group commit on a real PmHeap: stage writes into an epoch, one
  *  fence per close — fences_per_op must drop to 1/epoch. */

@@ -54,7 +54,13 @@ commandIsUpdate(const Command &cmd)
 Bytes
 encodeCommand(const Command &cmd)
 {
+    // The exact size, reserved once: a u16 argc, then each argument
+    // as a u32 length and its bytes.
+    std::size_t size = 2;
+    for (const std::string &arg : cmd.args)
+        size += 4 + arg.size();
     Bytes out;
+    out.reserve(size);
     ByteWriter writer(out);
     writer.writeU16(static_cast<std::uint16_t>(cmd.args.size()));
     for (const std::string &arg : cmd.args)
@@ -82,6 +88,7 @@ Bytes
 encodeResponse(RespStatus status, const std::string &value)
 {
     Bytes out;
+    out.reserve(2 + 4 + value.size());
     ByteWriter writer(out);
     writer.writeU8(static_cast<std::uint8_t>(RespKind::Generic));
     writer.writeU8(static_cast<std::uint8_t>(status));
@@ -94,6 +101,7 @@ encodeGetResponse(RespStatus status, const std::string &key,
                   const std::string &value)
 {
     Bytes out;
+    out.reserve(2 + 4 + key.size() + 4 + value.size());
     ByteWriter writer(out);
     writer.writeU8(static_cast<std::uint8_t>(RespKind::Get));
     writer.writeU8(static_cast<std::uint8_t>(status));

@@ -15,13 +15,14 @@
  * meaningful durations, now measured in wall nanoseconds.
  *
  * Durability across a SIGKILLed process comes from two files under
- * dataDir: `heap.img` (PmHeap::attachBackingFile — the server pool,
- * written through at every fence) and `log.journal` (LogJournal — a
- * fold-able mirror of the device log). On restart with existing
- * files, the constructor replays the journal into the device log and
- * runs the ServerLib power-restore path, which re-roots the command
- * store and polls the device with RecoveryPoll — so every acked-but-
- * unapplied update is replayed before the daemon serves traffic (P1).
+ * dataDir: `heap.img` (PmHeap::attachBackingFile — the server pool's
+ * durable image, mapped into the process, so a fence's stores land in
+ * the page cache) and `log.journal` (LogJournal — a fold-able mirror
+ * of the device log). On restart with existing files, the constructor
+ * replays the journal into the device log and runs the ServerLib
+ * power-restore path, which re-roots the command store and polls the
+ * device with RecoveryPoll — so every acked-but-unapplied update is
+ * replayed before the daemon serves traffic (P1).
  *
  * Construct, poll and destroy a GatewayServer on one thread (or
  * destroy it after that thread is joined). The recovery path creates

@@ -6,12 +6,24 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.h"
 
 namespace pmnet::pm {
+
+namespace {
+
+/** True when all @p len (> 0) bytes at @p p are zero. */
+bool
+allZero(const std::uint8_t *p, std::size_t len)
+{
+    return p[0] == 0 && std::memcmp(p, p + 1, len - 1) == 0;
+}
+
+} // namespace
 
 const char *
 persistBoundaryName(PersistBoundary boundary)
@@ -24,6 +36,15 @@ persistBoundaryName(PersistBoundary boundary)
     return "unknown";
 }
 
+void
+PmHeap::ImageDeleter::operator()(std::uint8_t *image) const
+{
+    if (mappedBytes > 0)
+        ::munmap(image, mappedBytes);
+    else
+        std::free(image);
+}
+
 PmHeap::Image
 PmHeap::allocateImage(std::uint64_t capacity)
 {
@@ -32,7 +53,7 @@ PmHeap::allocateImage(std::uint64_t capacity)
     if (image == nullptr)
         fatal("PmHeap: cannot allocate a %llu-byte image",
               static_cast<unsigned long long>(capacity));
-    return Image(image);
+    return Image(image, ImageDeleter{0});
 }
 
 PmHeap::PmHeap(std::uint64_t capacity_bytes, CostModel model)
@@ -59,38 +80,6 @@ PmHeap::~PmHeap()
         ::close(backingFd_);
 }
 
-void
-PmHeap::backingWrite(PmOffset offset, const void *data, std::size_t len)
-{
-    const char *p = static_cast<const char *>(data);
-    while (len > 0) {
-        ssize_t n = ::pwrite(backingFd_, p, len,
-                             static_cast<off_t>(offset));
-        if (n < 0)
-            fatal("PmHeap: backing-file write failed at %llu",
-                  static_cast<unsigned long long>(offset));
-        p += n;
-        offset += static_cast<PmOffset>(n);
-        len -= static_cast<std::size_t>(n);
-    }
-}
-
-void
-PmHeap::backingRead(PmOffset offset, void *out, std::size_t len)
-{
-    char *p = static_cast<char *>(out);
-    while (len > 0) {
-        ssize_t n = ::pread(backingFd_, p, len,
-                            static_cast<off_t>(offset));
-        if (n <= 0)
-            fatal("PmHeap: backing-file read failed at %llu",
-                  static_cast<unsigned long long>(offset));
-        p += n;
-        offset += static_cast<PmOffset>(n);
-        len -= static_cast<std::size_t>(n);
-    }
-}
-
 PmHeap::BackingState
 PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
 {
@@ -105,32 +94,51 @@ PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
     struct stat st = {};
     if (::fstat(fd, &st) != 0)
         fatal("PmHeap: cannot stat backing file %s", path.c_str());
+    // A file of another size holds no pool of this heap: restart it
+    // from zeros. Then reserve every block, since a store into a mapped
+    // page the filesystem cannot back raises SIGBUS, not an error.
+    bool zeroed = static_cast<std::uint64_t>(st.st_size) != capacity_;
+    if ((zeroed && ::ftruncate(fd, 0) != 0) ||
+        ::posix_fallocate(fd, 0, static_cast<off_t>(capacity_)) != 0)
+        fatal("PmHeap: cannot size backing file %s", path.c_str());
+    void *map = ::mmap(nullptr, static_cast<std::size_t>(capacity_),
+                       PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    if (map == MAP_FAILED)
+        fatal("PmHeap: cannot map backing file %s: %s", path.c_str(),
+              std::strerror(errno));
+    Image file(static_cast<std::uint8_t *>(map),
+               ImageDeleter{static_cast<std::size_t>(capacity_)});
 
-    if (static_cast<std::uint64_t>(st.st_size) == capacity_) {
-        Header header;
-        backingRead(0, &header, sizeof(header));
-        if (header.magic == kMagic) {
-            backingRead(0, durableImage_.get(), capacity_);
-            // Same state as right after a power failure: volatile
-            // reverts to durable, staged/free-list state is gone.
-            std::memcpy(volatileImage_.get(), durableImage_.get(),
-                        capacity_);
-            std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
-            staged_.clear();
-            stageArena_.clear();
-            for (std::vector<PmOffset> &list : smallFree_)
-                list.clear();
-            freeLists_.clear();
-            freeBytes_ = 0;
-            accrued_ = 0;
-            counts_ = {};
-            return BackingState::Reopened;
-        }
+    Header header;
+    std::memcpy(&header, file.get(), sizeof(header));
+    if (!zeroed && header.magic == kMagic) {
+        durableImage_ = std::move(file);
+        // Same state as right after a power failure: volatile
+        // reverts to durable, staged/free-list state is gone.
+        std::memcpy(volatileImage_.get(), durableImage_.get(), capacity_);
+        std::fill(dirtyPages_.begin(), dirtyPages_.end(), 0);
+        staged_.clear();
+        stageArena_.clear();
+        for (std::vector<PmOffset> &list : smallFree_)
+            list.clear();
+        freeLists_.clear();
+        freeBytes_ = 0;
+        accrued_ = 0;
+        counts_ = {};
+        return BackingState::Reopened;
     }
 
-    if (::ftruncate(fd, static_cast<off_t>(capacity_)) != 0)
-        fatal("PmHeap: cannot size backing file %s", path.c_str());
-    backingWrite(0, durableImage_.get(), capacity_);
+    // Fresh: the file takes the durable image, page by page, skipping
+    // the pages that are zero in both.
+    for (std::uint64_t begin = 0; begin < capacity_; begin += kPageBytes) {
+        std::size_t len =
+            static_cast<std::size_t>(std::min(kPageBytes, capacity_ - begin));
+        const std::uint8_t *from = durableImage_.get() + begin;
+        std::uint8_t *to = file.get() + begin;
+        if (!allZero(from, len) || (!zeroed && !allZero(to, len)))
+            std::memcpy(to, from, len);
+    }
+    durableImage_ = std::move(file);
     return BackingState::Fresh;
 }
 
@@ -287,13 +295,12 @@ PmHeap::fence()
     if (staged_.empty()) {
         accrued_ += model_.fenceEmpty;
     } else {
-        for (const StagedRange &r : staged_) {
+        // With a backing file this copy is the write-through: the
+        // durable image is the file's mapping.
+        for (const StagedRange &r : staged_)
             std::memcpy(durableImage_.get() + r.off,
                         stageArena_.data() + r.pos, r.len);
-            if (backingFd_ >= 0)
-                backingWrite(r.off, stageArena_.data() + r.pos, r.len);
-        }
-        if (backingFd_ >= 0 && syncEveryFence_)
+        if (syncEveryFence_)
             syncBackingFile();
         staged_.clear();
         stageArena_.clear();

@@ -22,7 +22,8 @@
  * anonymous pages the kernel maps on first touch), and write() marks
  * its 4 KB pages in a dirty set. A page outside that set holds the
  * same bytes in both images, so crash() copies back only the marked
- * pages instead of the whole pool.
+ * pages instead of the whole pool. A file-backed heap (gateway mode)
+ * swaps its durable image for a shared mapping of the pool file.
  *
  * Every operation also accrues simulated time per the CostModel; the
  * server host drains this accrual to charge request-processing time.
@@ -112,13 +113,15 @@ class PmHeap
      *
      * In sim mode both images are DRAM and "durability" means
      * surviving crash(). A gateway process needs the durable image to
-     * survive the *process*: attachBackingFile() binds the durable
-     * image to a file, and every fence() writes the just-retired
-     * staged ranges through to it. A SIGKILLed daemon restarted on
-     * the same file recovers exactly what it had fenced — the same
-     * contract crash() models in-process. (Write-through lands in the
-     * OS page cache; surviving kernel/power loss additionally needs
-     * @p sync_every_fence, at a large per-fence cost.)
+     * survive the *process*: attachBackingFile() maps a file
+     * MAP_SHARED as the durable image, so the copy fence() makes of
+     * the just-retired staged ranges is a store into the file's page
+     * cache, with no syscall. A SIGKILLed daemon restarted on the same
+     * file recovers exactly what it had fenced — the same contract
+     * crash() models in-process. The kernel writes those pages to disk
+     * in its own time; surviving kernel/power loss needs
+     * syncBackingFile(), or @p sync_every_fence at a large per-fence
+     * cost.
      *  @{
      */
 
@@ -129,21 +132,26 @@ class PmHeap
     };
 
     /**
-     * Bind the durable image to @p path. If the file holds a pool of
-     * this capacity with a valid header, both images are loaded from
-     * it (volatile := durable, as after crash()) and Reopened is
-     * returned; otherwise the file is (re)initialized from the
-     * current durable image. Call at most once, before serving.
+     * Map @p path as the durable image, with every block of it
+     * reserved first: a store into a mapped page the filesystem cannot
+     * back raises SIGBUS, so a file that cannot be sized is fatal here
+     * instead. If the file holds a pool of this capacity with a valid
+     * header, the volatile image is loaded from it (volatile :=
+     * durable, as after crash()) and Reopened is returned; otherwise
+     * the file is (re)initialized from the current durable image.
+     * Call at most once, before serving.
      */
     BackingState attachBackingFile(const std::string &path,
                                    bool sync_every_fence = false);
 
-    /** True when fence() writes through to a backing file. */
+    /** True when the durable image is a mapped backing file. */
     bool fileBacked() const { return backingFd_ >= 0; }
 
     /**
-     * fdatasync the backing file (no-op without one). A failed flush
-     * is fatal, as in LogJournal::sync().
+     * Write the mapped durable image to stable storage (no-op without
+     * a backing file): fdatasync of the mapped file, which on Linux
+     * also writes back pages dirtied through the mapping. A failed
+     * flush is fatal, as in LogJournal::sync().
      */
     void syncBackingFile();
     /** @} */
@@ -309,10 +317,15 @@ class PmHeap
     /** Granule of the dirty set: one bit per 4 KB page. */
     static constexpr std::uint64_t kPageBytes = 4096;
 
-    /** A lazily zeroed pool image, released with std::free. */
+    /**
+     * A pool image: a lazily zeroed allocation released with
+     * std::free (mappedBytes 0), or a file mapping of mappedBytes
+     * released with munmap.
+     */
     struct ImageDeleter
     {
-        void operator()(std::uint8_t *image) const { std::free(image); }
+        std::size_t mappedBytes;
+        void operator()(std::uint8_t *image) const;
     };
     using Image = std::unique_ptr<std::uint8_t[], ImageDeleter>;
     static Image allocateImage(std::uint64_t capacity);
@@ -320,9 +333,6 @@ class PmHeap
     void checkRange(PmOffset offset, std::size_t len) const;
     Header loadHeader() const;
     void storeHeader(const Header &header);
-    void backingWrite(PmOffset offset, const void *data,
-                      std::size_t len);
-    void backingRead(PmOffset offset, void *out, std::size_t len);
     void markDirty(PmOffset offset, std::size_t len);
 
     std::uint64_t capacity_;
@@ -366,7 +376,8 @@ class PmHeap
     std::uint64_t crashEpoch_ = 0;
     PersistBoundaryHook boundaryHook_;
 
-    /** Backing-file descriptor; -1 in sim (DRAM-only) mode. */
+    /** Descriptor of the mapped backing file; -1 in sim (DRAM-only)
+     *  mode. */
     int backingFd_ = -1;
     bool syncEveryFence_ = false;
 };

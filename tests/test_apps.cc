@@ -61,6 +61,21 @@ TEST(Protocol, ResponseRoundTrips)
     EXPECT_EQ(get->value, "value");
 }
 
+TEST(Protocol, EncodersReserveTheirExactSize)
+{
+    // One allocation per message (libstdc++'s reserve() allocates
+    // exactly what it is asked for): a formula that came out short
+    // would regrow the buffer past its size, one that came out long
+    // would leave spare capacity.
+    Bytes command = encodeCommand(Command{{"SET", "key:1", "value"}});
+    EXPECT_EQ(command.size(), 2u + (4 + 3) + (4 + 5) + (4 + 5));
+    EXPECT_EQ(command.capacity(), command.size());
+    Bytes generic = encodeResponse(RespStatus::Ok, std::string(100, 'v'));
+    EXPECT_EQ(generic.capacity(), generic.size());
+    Bytes get = encodeGetResponse(RespStatus::Ok, "key:1", "value");
+    EXPECT_EQ(get.capacity(), get.size());
+}
+
 TEST(Codec, ParsesSetAndGetOnly)
 {
     KvCacheCodec codec;

@@ -13,8 +13,9 @@
  *    set/get, per-session overwrite order, and duplicate suppression
  *    of a raw re-sent datagram.
  *  - GatewayRecovery.*: the daemon is destroyed without a graceful
- *    sync and reassembled on the same dataDir; every previously acked
- *    update must be readable by a fresh session.
+ *    sync, or runs in a forked child that is SIGKILLed, and is
+ *    reassembled on the same dataDir; every previously acked update
+ *    must be readable by a fresh session.
  *  - GatewayJournalDeathTest.*: a failed fdatasync of the journal
  *    stops the daemon instead of letting it ack lost durability.
  */
@@ -28,7 +29,10 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "pmnet/pmnet_api.h"
@@ -425,6 +429,99 @@ TEST(GatewayRecovery, RestartRunsPowerRestoreBeforeServing)
     obs::Snapshot snapshot = daemon.snapshot();
     EXPECT_NE(snapshot.toJson(obs::JsonStyle::Pretty).find("pmnetd"),
               std::string::npos);
+}
+
+/** SIGKILLs and reaps a forked child on every exit from a test. */
+struct ChildGuard
+{
+    pid_t pid = -1;
+
+    ChildGuard() = default;
+    ChildGuard(const ChildGuard &) = delete;
+    ChildGuard &operator=(const ChildGuard &) = delete;
+    ~ChildGuard() { killAndReap(); }
+
+    /** @return the wait status (0 when there is no child). */
+    int
+    killAndReap()
+    {
+        int status = 0;
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            pid = -1;
+        }
+        return status;
+    }
+};
+
+TEST(GatewayRecovery, SigkilledDaemonKeepsEveryAckedSet)
+{
+    std::string dataDir = makeTempDir();
+    ASSERT_FALSE(dataDir.empty());
+    int portPipe[2];
+    ASSERT_EQ(::pipe(portPipe), 0);
+
+    // The daemon runs in a child forked while this process is still
+    // single-threaded, and builds and polls on the child's only
+    // thread. SIGKILL runs no destructor, so what survives is what the
+    // kernel held when the acks left: nothing is flushed at teardown.
+    pid_t parent = ::getpid();
+    ChildGuard child;
+    child.pid = ::fork();
+    ASSERT_GE(child.pid, 0);
+    if (child.pid == 0) {
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent)
+            ::_exit(1);
+        ::close(portPipe[0]);
+        GatewayServer::Config config;
+        config.dataDir = dataDir;
+        GatewayServer daemon(std::move(config));
+        std::uint16_t port = daemon.localPort();
+        if (::write(portPipe[1], &port, sizeof(port)) !=
+            static_cast<ssize_t>(sizeof(port)))
+            ::_exit(1);
+        for (;;)
+            daemon.runtime().pollOnce(10);
+    }
+    ::close(portPipe[1]);
+    std::uint16_t port = 0;
+    ASSERT_EQ(::read(portPipe[0], &port, sizeof(port)),
+              static_cast<ssize_t>(sizeof(port)));
+    ::close(portPipe[0]);
+
+    constexpr int kSets = 200;
+    constexpr int kKeys = 50;
+    auto key = [](int k) { return "key" + std::to_string(k); };
+    std::vector<std::string> acked(kKeys);
+    {
+        GatewayClient::Config clientConfig;
+        clientConfig.server = Endpoint::loopback(port);
+        clientConfig.sessionId = 1;
+        GatewayClient client(std::move(clientConfig));
+        for (int i = 0; i < kSets; i++) {
+            std::string value = "v" + std::to_string(i);
+            ASSERT_TRUE(client.set(key(i % kKeys), value, kOpTimeout))
+                << "SET " << i;
+            acked[i % kKeys] = value;
+        }
+    }
+    int status = child.killAndReap();
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+    GatewayServer::Config config;
+    config.dataDir = dataDir;
+    DaemonHarness harness(std::move(config));
+    EXPECT_TRUE(harness.daemon().recovered());
+    GatewayClient::Config clientConfig;
+    clientConfig.server = Endpoint::loopback(harness.port());
+    clientConfig.sessionId = 2;
+    GatewayClient client(std::move(clientConfig));
+    for (int k = 0; k < kKeys; k++)
+        EXPECT_EQ(client.get(key(k), kOpTimeout),
+                  std::optional<std::string>(acked[k]))
+            << "last acked SET of " << key(k) << " lost to SIGKILL";
 }
 
 TEST(GatewayJournalDeathTest, FailedFdatasyncIsFatal)

@@ -15,7 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include <csignal>
+
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "net/packet.h"
@@ -327,6 +330,62 @@ TEST(PmHeap, MatchesDenseReferenceAcrossCrashesAndReopen)
     heap->crash();
     model.crash();
     EXPECT_EQ(readAll(*heap), model.image());
+    ::unlink(path);
+}
+
+TEST(PmHeap, BadMagicFileReinitializesFreshThenReopens)
+{
+    constexpr std::uint64_t kCapacity = 16 * 4096;
+    char path[] = "/tmp/pmnet_pm_heap_XXXXXX";
+    int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    // The pool's size, but no pool: every byte 0xA5, magic included.
+    std::vector<char> junk(kCapacity, '\xA5');
+    ASSERT_EQ(::write(fd, junk.data(), junk.size()),
+              static_cast<ssize_t>(junk.size()));
+    ::close(fd);
+
+    Bytes image;
+    {
+        PmHeap heap(kCapacity);
+        Bytes initial = readAll(heap);
+        ASSERT_EQ(heap.attachBackingFile(path), PmHeap::BackingState::Fresh);
+        EXPECT_EQ(readAll(heap), initial);
+        PmOffset block = heap.alloc(64);
+        heap.persistObj(block, std::uint64_t{42});
+        heap.setRoot(block);
+        image = readAll(heap);
+    }
+    // Every junk page, zero in the pool, was overwritten at attach.
+    PmHeap heap(kCapacity);
+    ASSERT_EQ(heap.attachBackingFile(path),
+              PmHeap::BackingState::Reopened);
+    EXPECT_EQ(readAll(heap), image);
+    EXPECT_EQ(heap.readObj<std::uint64_t>(heap.root()), 42u);
+    ::unlink(path);
+}
+
+TEST(PmHeapDeath, UnsizableBackingFileDiesAtAttach)
+{
+    constexpr std::uint64_t kCapacity = 64 * 4096;
+    char path[] = "/tmp/pmnet_pm_heap_XXXXXX";
+    int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+    // A file-size limit below the pool, with SIGXFSZ ignored so that
+    // growing the file fails with EFBIG. A heap that mapped the file
+    // without sizing it would instead die of SIGBUS at its first
+    // access to the mapping.
+    auto attach_over_limit = [&path] {
+        rlimit limit{kCapacity / 2, kCapacity / 2};
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        std::signal(SIGXFSZ, SIG_IGN);
+        PmHeap heap(kCapacity);
+        heap.attachBackingFile(path);
+        PmOffset block = heap.alloc(kCapacity / 2);
+        heap.persistObj(block + kCapacity / 4, std::uint64_t{1});
+    };
+    EXPECT_DEATH(attach_over_limit(), "cannot size backing file");
     ::unlink(path);
 }
 

@@ -5,9 +5,10 @@
  * Serves the PMNet protocol on a real UDP socket: the unchanged
  * device + server state machines run inside a GatewayServer whose
  * epoll loop maps wall time onto sim ticks. With --data-dir the
- * daemon is durable across SIGKILL (heap.img write-through + the
- * device log journal); restarted on the same directory it replays
- * acked-but-unapplied updates before serving (P1).
+ * daemon is durable across SIGKILL (heap.img, mapped as the server
+ * pool's durable image, + the device log journal); restarted on the
+ * same directory it replays acked-but-unapplied updates before
+ * serving (P1).
  *
  * SIGTERM/SIGINT stop the loop cleanly and, with --metrics-out, dump
  * the wall-clock metrics snapshot. --smoke runs a self-contained
