@@ -2,13 +2,14 @@
  * @file
  * Google-benchmark microbenchmarks of the keyed fast path: the
  * hash-once KeyRef, the open-addressing FlatKeyTable with its
- * intrusive LRU (pmnet::ReadCache), and the hash-prefiltered
- * persistent hashmap (kv::PmHashmap).
+ * intrusive LRU (pmnet::ReadCache), and the persistent hashmap
+ * (kv::PmHashmap) with its in-place key compare.
  *
- * The workload parameters are the cache/kv shapes the figures run:
- * bounded caches under churn, hashmap buckets dense enough that chains
- * actually walk. EXPERIMENTS.md records the before/after table these
- * benches were introduced with.
+ * The cache parameters are the shapes the figures run: bounded caches
+ * under churn. The hashmap's 64-node chains are far denser than any
+ * figure's (at most ~3 keys per bucket), so its rows time the per-node
+ * walk. EXPERIMENTS.md records the before/after table these benches
+ * were introduced with.
  */
 
 #include <benchmark/benchmark.h>

@@ -8,6 +8,22 @@ namespace pmnet::gateway {
 using net::PacketPtr;
 using net::PacketType;
 
+stack::StackProfile
+zeroProfile()
+{
+    return stack::StackProfile{0, 0, 0.0, 0, 0.0};
+}
+
+net::LinkConfig
+inProcessLink()
+{
+    net::LinkConfig link;
+    link.gbps = 1000.0;
+    link.propagation = 1; // one tick keeps event ordering explicit
+    link.queueBytes = 64 * 1024 * 1024;
+    return link;
+}
+
 GatewayBridge::GatewayBridge(sim::Simulator &simulator,
                              std::string object_name, Role role,
                              Transport &transport)

@@ -25,14 +25,22 @@
 
 #include "gateway/transport.h"
 #include "gateway/wire.h"
+#include "net/link.h"
 #include "net/node.h"
 #include "obs/metric_registry.h"
+#include "stack/stack_model.h"
 
 namespace pmnet::obs {
 class FlightRecorder;
 }
 
 namespace pmnet::gateway {
+
+/** Zero modeled time: real sockets and CPUs replace the model. */
+stack::StackProfile zeroProfile();
+
+/** In-process hop: effectively instantaneous, never tail-drops. */
+net::LinkConfig inProcessLink();
 
 /** The sim/socket boundary node. */
 class GatewayBridge : public net::Node

@@ -4,26 +4,6 @@
 
 namespace pmnet::gateway {
 
-namespace {
-
-stack::StackProfile
-zeroProfile()
-{
-    return stack::StackProfile{0, 0, 0.0, 0, 0.0};
-}
-
-net::LinkConfig
-inProcessLink()
-{
-    net::LinkConfig link;
-    link.gbps = 1000.0;
-    link.propagation = 1;
-    link.queueBytes = 64 * 1024 * 1024;
-    return link;
-}
-
-} // namespace
-
 stack::ClientConfig
 GatewayClient::Config::wallClientDefaults()
 {

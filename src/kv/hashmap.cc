@@ -1,6 +1,6 @@
 #include "kv/hashmap.h"
 
-#include <cstring>
+#include <cstddef>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -8,7 +8,7 @@
 namespace pmnet::kv {
 
 PmHashmap::PmHashmap(pm::PmHeap &heap, unsigned bucket_bits)
-    : StoreBase(heap, KvKind::Hashmap), shadowEpoch_(heap.crashEpoch())
+    : StoreBase(heap, KvKind::Hashmap)
 {
     if (bucket_bits == 0 || bucket_bits > 24)
         fatal("PmHashmap: bucket_bits %u out of range", bucket_bits);
@@ -25,8 +25,7 @@ PmHashmap::PmHashmap(pm::PmHeap &heap, unsigned bucket_bits)
 }
 
 PmHashmap::PmHashmap(pm::PmHeap &heap, pm::PmOffset header_offset)
-    : StoreBase(heap, header_offset, KvKind::Hashmap),
-      shadowEpoch_(heap.crashEpoch())
+    : StoreBase(heap, header_offset, KvKind::Hashmap)
 {
     StoreHeader header = loadHeader();
     bucketCount_ = 1ull << header.extra;
@@ -45,82 +44,18 @@ PmHashmap::bucketSlot(KeyRef key) const
 PmHashmap::Walk
 PmHashmap::walkChain(std::uint64_t slot, KeyRef key) const
 {
-    if (shadowEpoch_ != heap_.crashEpoch()) {
-        shadow_.clear();
-        shadowEpoch_ = heap_.crashEpoch();
-    }
     Walk w;
-    w.chain = shadow_.findChain(slot);
-    std::size_t cached = w.chain ? w.chain->size() : 0;
-    ChainEntry staged[kStageMax];
-    std::size_t nstaged = 0;
     pm::PmOffset cursor = heap_.readObj<std::uint64_t>(slot);
-    pm::PmOffset prev = pm::kNullOffset;
-    std::size_t i = 0;
-    bool found = false;
-    Node node{};
-
     while (cursor != pm::kNullOffset) {
-        if (i < cached) {
-            const ChainEntry &e = (*w.chain)[i];
-            node = e.node;
-            if (e.forceCompare || e.hash == key.hash()) {
-                // The modeled server reads the node record either
-                // way; a hash match still needs the byte compare.
-                heap_.chargeRead(cursor, sizeof(Node));
-                found = compareKey(heap_, key.view(), e.node.key) == 0;
-            } else {
-                // Provably no match. The modeled walk still reads the
-                // node record and the stored key to compare it —
-                // charge those PM lines (precomputed at learn time),
-                // skip only the host-side byte work.
-                heap_.chargeReadLines(e.missLines);
-            }
-        } else {
-            // Beyond the shadowed prefix: do the real reads, and
-            // stage the entry in case this bucket earns a shadow.
-            node = heap_.readObj<Node>(cursor);
-            ChainEntry e;
-            e.node = node;
-            e.missLines = missLines(cursor, node);
-            std::size_t stored = node.key.length;
-            if (stored > 256) {
-                e.forceCompare = true;
-                found = compareKey(heap_, key.view(), node.key) == 0;
-            } else {
-                char buf[256];
-                if (stored > 0)
-                    heap_.read(node.key.offset, buf, stored);
-                e.hash = hashKey(buf, stored);
-                std::size_t m = key.size() < stored ? key.size() : stored;
-                int cmp = m > 0 ? std::memcmp(key.data(), buf, m) : 0;
-                found = cmp == 0 && key.size() == stored;
-            }
-            // An overflowing walk just stops learning this round; the
-            // staged entries still extend the prefix contiguously.
-            if (nstaged < kStageMax)
-                staged[nstaged++] = e;
-        }
-        if (found)
+        w.node = heap_.readObj<Node>(cursor);
+        if (compareKey(heap_, key.view(), w.node.key) == 0) {
+            w.found = true;
             break;
-        prev = cursor;
-        cursor = node.next;
-        i++;
+        }
+        w.prevOff = cursor;
+        cursor = w.node.next;
     }
-
-    std::size_t visited = i + (found ? 1 : 0);
-    if (nstaged > 0 && (w.chain || visited >= kMinShadowDepth)) {
-        if (!w.chain)
-            w.chain = &shadow_.chain(slot);
-        for (std::size_t k = 0; k < nstaged; k++)
-            w.chain->push_back(staged[k]);
-    }
-
-    w.found = found;
-    w.pos = i;
     w.off = cursor;
-    w.prevOff = prev;
-    w.node = node;
     return w;
 }
 
@@ -149,8 +84,6 @@ PmHashmap::put(KeyRef key, const Bytes &value)
                                       new_val);
         heap_.flush(w.off + offsetof(Node, valPtr), 8);
         heap_.fence();
-        if (w.chain && w.pos < w.chain->size())
-            (*w.chain)[w.pos].node.valPtr = new_val;
         freeSizedBlob(heap_, old_val);
         return;
     }
@@ -169,13 +102,6 @@ PmHashmap::put(KeyRef key, const Bytes &value)
     heap_.writeObj<std::uint64_t>(slot, node_off);
     heap_.flush(slot, 8);
     heap_.fence();
-    if (Chain *chain = shadow_.findChain(slot)) {
-        ChainEntry e;
-        e.hash = key.hash();
-        e.missLines = missLines(node_off, node);
-        e.node = node;
-        chain->insert(chain->begin(), e);
-    }
     bumpCount(+1);
 }
 
@@ -197,17 +123,12 @@ PmHashmap::erase(KeyRef key)
         return false;
 
     // Linearization: unlink via one pointer swap.
-    std::uint64_t prev_slot =
-        w.pos == 0 ? slot : w.prevOff + offsetof(Node, next);
+    std::uint64_t prev_slot = w.prevOff == pm::kNullOffset
+                                  ? slot
+                                  : w.prevOff + offsetof(Node, next);
     heap_.writeObj<std::uint64_t>(prev_slot, w.node.next);
     heap_.flush(prev_slot, 8);
     heap_.fence();
-    if (w.chain) {
-        if (w.pos > 0 && w.pos - 1 < w.chain->size())
-            (*w.chain)[w.pos - 1].node.next = w.node.next;
-        if (w.pos < w.chain->size())
-            w.chain->erase(w.chain->begin() + static_cast<long>(w.pos));
-    }
     freeBlob(heap_, w.node.key);
     freeSizedBlob(heap_, w.node.valPtr);
     heap_.free(w.off, sizeof(Node));

@@ -18,24 +18,13 @@
  * up the host without changing modeled PM traffic or figure
  * statistics.
  *
- * A volatile per-bucket chain shadow accelerates the walk: each
- * touched bucket caches its chain as a contiguous vector of
- * {node offset, key hash, node} entries in chain order, so a walk is
- * a linear scan instead of a per-node pointer chase through the heap.
- * A shadowed step charges the PM lines the modeled server reads
- * (the node record, and the stored key when the cached 64-bit hash
- * proves the compare fails — PmHeap::chargeReadLines) without copying
- * any bytes; only a true hash match pays the real byte compare. The
- * shadow is pure acceleration state — never persisted, rebuilt lazily
- * after reopen, kept in sync at every mutation, and a miss just falls
- * back to real reads.
+ * The heap is the map's only state: no call keeps chain contents
+ * past its return, so an instance that outlives PmHeap::crash()
+ * reads exactly what the durable image holds.
  */
 
 #ifndef PMNET_KV_HASHMAP_H
 #define PMNET_KV_HASHMAP_H
-
-#include <cstddef>
-#include <vector>
 
 #include "kv/store_base.h"
 
@@ -74,186 +63,32 @@ class PmHashmap : public StoreBase
         std::uint64_t next;
     };
 
-    /** Volatile shadow of one chain node. */
-    struct ChainEntry
-    {
-        /** 64-bit hash of the stored key (hashKey). */
-        std::uint64_t hash = 0;
-        /** PM lines a provably-failing visit reads (node + key). */
-        std::uint32_t missLines = 0;
-        /**
-         * Stored key too large to hash from a stack buffer when this
-         * entry was learned: always fall back to the byte compare.
-         */
-        bool forceCompare = false;
-        Node node{};
-    };
-
-    /**
-     * Shadow of one bucket's chain, in chain order. Invariant: the
-     * vector is always a *prefix* of the persistent chain — walks
-     * learn nodes in order and append, inserts go to the front,
-     * erases remove in place — so a walk consumes entry i exactly
-     * when its cursor sits on the i-th chain node. Contiguous storage
-     * makes the walk a linear scan instead of a pointer chase.
-     */
-    using Chain = std::vector<ChainEntry>;
-
-    /**
-     * Volatile bucket-slot -> Chain map: open addressing, linear
-     * probing, kNullOffset marks an empty slot (offset 0 is the heap
-     * header, never a bucket). Buckets are never destroyed, so no
-     * erase is needed. Pure acceleration state — never persisted,
-     * rebuilt lazily after reopen, kept exactly in sync at every
-     * mutation point; valid while this instance is the only writer of
-     * the store (the assumption every volatile acceleration structure
-     * here makes; all tests reopen a fresh instance after a crash).
-     */
-    class BucketShadowMap
-    {
-      public:
-        BucketShadowMap() : slots_(kInitSlots) {}
-
-        /** Chain shadow for @p slot, or nullptr if never committed. */
-        Chain *
-        findChain(pm::PmOffset slot)
-        {
-            std::size_t mask = slots_.size() - 1;
-            for (std::size_t i = home(slot, mask);; i = (i + 1) & mask) {
-                if (slots_[i].slot == slot)
-                    return &slots_[i].chain;
-                if (slots_[i].slot == pm::kNullOffset)
-                    return nullptr;
-            }
-        }
-
-        /** Drop every cached chain (power-failure invalidation). */
-        void
-        clear()
-        {
-            slots_.assign(kInitSlots, Slot{});
-            size_ = 0;
-        }
-
-        /** Get-or-create the chain shadow for @p slot. */
-        Chain &
-        chain(pm::PmOffset slot)
-        {
-            if ((size_ + 1) * 4 > slots_.size() * 3)
-                grow();
-            std::size_t mask = slots_.size() - 1;
-            for (std::size_t i = home(slot, mask);; i = (i + 1) & mask) {
-                if (slots_[i].slot == slot)
-                    return slots_[i].chain;
-                if (slots_[i].slot == pm::kNullOffset) {
-                    slots_[i].slot = slot;
-                    size_++;
-                    return slots_[i].chain;
-                }
-            }
-        }
-
-      private:
-        struct Slot
-        {
-            pm::PmOffset slot = pm::kNullOffset;
-            Chain chain;
-        };
-
-        static constexpr std::size_t kInitSlots = 1024;
-
-        static std::size_t
-        home(pm::PmOffset slot, std::size_t mask)
-        {
-            return static_cast<std::size_t>(
-                       (slot * 0x9E3779B97F4A7C15ull) >> 32) &
-                   mask;
-        }
-
-        void
-        grow()
-        {
-            std::vector<Slot> old = std::move(slots_);
-            slots_.assign(old.size() * 2, Slot{});
-            std::size_t mask = slots_.size() - 1;
-            for (Slot &s : old) {
-                if (s.slot == pm::kNullOffset)
-                    continue;
-                std::size_t i = home(s.slot, mask);
-                while (slots_[i].slot != pm::kNullOffset)
-                    i = (i + 1) & mask;
-                slots_[i] = std::move(s);
-            }
-        }
-
-        std::vector<Slot> slots_;
-        std::size_t size_ = 0;
-    };
-
     /** Result of one full chain walk for a key. */
     struct Walk
     {
         /** A node holding the key was found. */
         bool found = false;
-        /** Chain position of the match (or nodes walked if none). */
-        std::size_t pos = 0;
         /** Offset of the matched node (kNullOffset if none). */
         pm::PmOffset off = pm::kNullOffset;
         /** Offset of the node before the match (kNullOffset = head). */
         pm::PmOffset prevOff = pm::kNullOffset;
         /** Contents of the matched node. */
         Node node{};
-        /** Bucket's chain shadow after the walk, if shadowed. */
-        Chain *chain = nullptr;
     };
-
-    /** Walks stage at most this many newly learned entries. */
-    static constexpr std::size_t kStageMax = 16;
-
-    /**
-     * Shadow a bucket only once a walk has seen a chain this deep:
-     * single-node buckets gain nothing from the cache, and skipping
-     * them keeps the shadow's footprint proportional to the number of
-     * overloaded buckets rather than to the whole table.
-     */
-    static constexpr std::size_t kMinShadowDepth = 2;
 
     std::uint64_t bucketSlot(KeyRef key) const;
     void bumpCount(std::int64_t delta);
 
-    /** PM lines a failing visit of @p node at @p cursor reads. */
-    static std::uint32_t
-    missLines(pm::PmOffset cursor, const Node &node)
-    {
-        return static_cast<std::uint32_t>(
-            pm::CostModel::linesSpanned(cursor, sizeof(Node)) +
-            pm::CostModel::linesSpanned(node.key.offset,
-                                        node.key.length));
-    }
-
     /**
-     * Walk @p slot's chain looking for @p key, charging exactly the
-     * PM lines the modeled walk reads whether a step was served from
-     * the shadow or from real heap reads. Newly visited nodes are
-     * staged and committed to the bucket's shadow per the
-     * kMinShadowDepth policy.
+     * Walk @p slot's chain looking for @p key. Every visited node
+     * costs its record and its whole stored key (compareKey reads
+     * the key even when the lengths differ): the PM lines the modeled
+     * server reads.
      */
     Walk walkChain(std::uint64_t slot, KeyRef key) const;
 
     std::uint64_t bucketCount_;
     pm::PmOffset buckets_;
-    mutable BucketShadowMap shadow_;
-
-    /**
-     * PmHeap::crashEpoch() the shadow was built under. A crash reverts
-     * the heap under this instance's feet; the next walk notices the
-     * epoch moved and discards the whole shadow, so continuing to use
-     * the same instance after PmHeap::crash() can never serve chain
-     * state the durable image does not contain. (The remaining members
-     * — bucket array offset/count — are fenced at construction and
-     * header-derived, so they survive any crash unchanged.)
-     */
-    mutable std::uint64_t shadowEpoch_ = 0;
 };
 
 } // namespace pmnet::kv

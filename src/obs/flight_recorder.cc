@@ -185,7 +185,7 @@ FlightRecorder::begin(std::uint64_t request_id, std::uint16_t session,
                       std::uint32_t first_seq, bool is_update, Tick now,
                       std::uint16_t shard)
 {
-    if (!enabled_ || request_id == 0)
+    if (request_id == 0)
         return;
 
     RequestTrace *trace = lookup(request_id);
@@ -219,7 +219,7 @@ FlightRecorder::begin(std::uint64_t request_id, std::uint16_t session,
 void
 FlightRecorder::stampAt(std::uint64_t request_id, Stamp stamp, Tick now)
 {
-    if (!enabled_ || request_id == 0)
+    if (request_id == 0)
         return;
     RequestTrace *trace = lookup(request_id);
     if (!trace || trace->completed)
@@ -233,7 +233,7 @@ void
 FlightRecorder::complete(std::uint64_t request_id, Tick now,
                          bool by_pmnet_ack)
 {
-    if (!enabled_ || request_id == 0)
+    if (request_id == 0)
         return;
     RequestTrace *trace = lookup(request_id);
     if (!trace || trace->completed)

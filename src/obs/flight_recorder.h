@@ -166,10 +166,6 @@ class FlightRecorder
   public:
     explicit FlightRecorder(std::size_t capacity = 4096);
 
-    /** Runtime kill switch; all hooks no-op when disabled. */
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-    bool enabled() const { return enabled_; }
-
     /**
      * Open a trace for @p request_id and record ClientSend at @p now.
      * Evicts the oldest trace when the slab is full (wrap-around).
@@ -181,10 +177,10 @@ class FlightRecorder
                std::uint16_t shard = 0);
 
     /**
-     * Record @p stamp at @p now. Unknown ids, frozen (completed)
-     * traces and a disabled recorder are silent no-ops. First-wins
-     * for entry checkpoints, last-wins for the repeatable ones
-     * (PersistDone, ServerRx, AckRx).
+     * Record @p stamp at @p now. Unknown ids and frozen (completed)
+     * traces are silent no-ops. First-wins for entry checkpoints,
+     * last-wins for the repeatable ones (PersistDone, ServerRx,
+     * AckRx).
      */
     void stampAt(std::uint64_t request_id, Stamp stamp, Tick now);
 
@@ -244,7 +240,6 @@ class FlightRecorder
     void indexErase(std::uint64_t request_id);
     RequestTrace *lookup(std::uint64_t request_id);
 
-    bool enabled_ = true;
     bool accumulating_ = false;
 
     std::vector<RequestTrace> slots_;

@@ -39,21 +39,22 @@ persistBoundaryName(PersistBoundary boundary)
 void
 PmHeap::ImageDeleter::operator()(std::uint8_t *image) const
 {
-    if (mappedBytes > 0)
-        ::munmap(image, mappedBytes);
-    else
-        std::free(image);
+    ::munmap(image, mappedBytes);
 }
 
 PmHeap::Image
 PmHeap::allocateImage(std::uint64_t capacity)
 {
-    auto *image = static_cast<std::uint8_t *>(
-        std::calloc(static_cast<std::size_t>(capacity), 1));
-    if (image == nullptr)
-        fatal("PmHeap: cannot allocate a %llu-byte image",
-              static_cast<unsigned long long>(capacity));
-    return Image(image, ImageDeleter{0});
+    // Mapped directly, not malloc'ed: an image recycled from the
+    // allocator's arena would be zeroed again, page by page.
+    auto bytes = static_cast<std::size_t>(capacity);
+    void *image = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (image == MAP_FAILED)
+        fatal("PmHeap: cannot map a %llu-byte image: %s",
+              static_cast<unsigned long long>(capacity),
+              std::strerror(errno));
+    return Image(static_cast<std::uint8_t *>(image), ImageDeleter{bytes});
 }
 
 PmHeap::PmHeap(std::uint64_t capacity_bytes, CostModel model)
@@ -337,7 +338,6 @@ PmHeap::crash()
     // A dead machine runs no hooks; dropping it here also keeps an
     // armed crash injector from re-firing during recovery replay.
     boundaryHook_ = nullptr;
-    crashEpoch_++;
     staged_.clear();
     stageArena_.clear();
     // Only pages written since the last crash can differ from durable.

@@ -17,13 +17,13 @@
  * any structure that skipped a flush or fence will visibly lose data —
  * this is what the crash-recovery property tests exercise.
  *
- * A run pays only for the PM it touches. Both images are lazily
- * zeroed allocations (calloc: large pools come straight from fresh
- * anonymous pages the kernel maps on first touch), and write() marks
- * its 4 KB pages in a dirty set. A page outside that set holds the
- * same bytes in both images, so crash() copies back only the marked
- * pages instead of the whole pool. A file-backed heap (gateway mode)
- * swaps its durable image for a shared mapping of the pool file.
+ * A run pays only for the PM it touches. Both images are private
+ * anonymous mappings, so the kernel maps a zero page on first touch
+ * whatever the size of the pool, and write() marks its 4 KB pages in
+ * a dirty set. A page outside that set holds the same bytes in both
+ * images, so crash() copies back only the marked pages instead of the
+ * whole pool. A file-backed heap (gateway mode) swaps its durable
+ * image for a shared mapping of the pool file.
  *
  * Every operation also accrues simulated time per the CostModel; the
  * server host drains this accrual to charge request-processing time.
@@ -37,7 +37,6 @@
 #define PMNET_PM_PM_HEAP_H
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -66,9 +65,10 @@ inline constexpr PmOffset kNullOffset = 0;
  *                 since the previous fence is still lost here.
  *  - FenceRetire: the sfence just retired. The staged ranges are
  *                 durable, but the *host* has not executed a single
- *                 instruction past the fence yet — the window where
- *                 volatile acceleration state (e.g. PmHashmap's chain
- *                 shadow) has not caught up with the durable image.
+ *                 instruction past the fence yet. No KV backend keeps
+ *                 volatile state that could lag here; the crash
+ *                 matrix counts these to check that a group-commit
+ *                 ack never leaves before its batch fence retires.
  */
 enum class PersistBoundary : std::uint8_t { Flush, Fence, FenceRetire };
 
@@ -186,28 +186,6 @@ class PmHeap
     /** Load bytes from the volatile image. */
     void read(PmOffset offset, void *out, std::size_t len) const;
 
-    /**
-     * Account a read without copying any bytes. For callers that can
-     * prove the read's outcome by other means (e.g. a volatile hash
-     * index over persistent keys): the modeled device still performs
-     * the read, so its lines are charged exactly as read() would, but
-     * the host skips the byte work. Simulated behavior is identical
-     * by construction; only wall-clock time changes.
-     */
-    void
-    chargeRead(PmOffset offset, std::size_t len) const
-    {
-        chargeReadLines(CostModel::linesSpanned(offset, len));
-    }
-
-    /** Same, for a precomputed line count. */
-    void
-    chargeReadLines(std::size_t lines) const
-    {
-        counts_.readLines += lines;
-        accrued_ += model_.readPerLine * static_cast<TickDelta>(lines);
-    }
-
     /** clwb: stage the current content of the range for persistence. */
     void flush(PmOffset offset, std::size_t len);
 
@@ -269,14 +247,6 @@ class PmHeap
     void crash();
 
     /**
-     * Number of crash() calls so far. Volatile structures that cache
-     * heap contents (PmHashmap's chain shadow) compare this against
-     * the epoch they were built under and self-invalidate, so stale
-     * acceleration state can never survive a power failure.
-     */
-    std::uint64_t crashEpoch() const { return crashEpoch_; }
-
-    /**
      * Install @p hook (empty to remove) on the flush/fence path; see
      * PersistBoundaryHook. Cleared automatically by crash().
      */
@@ -318,9 +288,8 @@ class PmHeap
     static constexpr std::uint64_t kPageBytes = 4096;
 
     /**
-     * A pool image: a lazily zeroed allocation released with
-     * std::free (mappedBytes 0), or a file mapping of mappedBytes
-     * released with munmap.
+     * A pool image: a mapping of mappedBytes, anonymous (lazily
+     * zeroed) or of the backing file, released with munmap.
      */
     struct ImageDeleter
     {
@@ -373,7 +342,6 @@ class PmHeap
     mutable TickDelta accrued_ = 0;
     mutable PmOpCounts counts_;
 
-    std::uint64_t crashEpoch_ = 0;
     PersistBoundaryHook boundaryHook_;
 
     /** Descriptor of the mapped backing file; -1 in sim (DRAM-only)

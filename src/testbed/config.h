@@ -106,12 +106,6 @@ struct TestbedConfig
     bool deviceHeartbeat = false;
 
     /**
-     * Stack cost multiplier for workloads converted from TCP to the
-     * UDP-based PMNet protocol (Section VI-A3: 9% => 1.09).
-     */
-    double stackScale = 1.0;
-
-    /**
      * The workload is natively TCP (Redis/Twitter/TPCC): baselines
      * run the original TCP stack, PMNet modes run the UDP-converted
      * protocol with the 9% conversion overhead (Section VI-A3).
@@ -186,14 +180,11 @@ struct TestbedConfig
                mode == SystemMode::PmnetNic;
     }
 
-    /** Extra multiplier for TCP-to-UDP conversion on PMNet modes. */
+    /** Stack cost multiplier for TCP-to-UDP conversion on PMNet modes. */
     double
     effectiveStackScale() const
     {
-        double scale = stackScale;
-        if (tcpWorkload && pmnetMode())
-            scale *= 1.09; // Section VI-A3
-        return scale;
+        return tcpWorkload && pmnetMode() ? 1.09 : 1.0; // Section VI-A3
     }
 
     /** Client/server stack profiles (derived from vmaStack etc.). */

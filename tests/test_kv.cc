@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "kv/btree.h"
 #include "kv/ctree.h"
+#include "kv/hashmap.h"
 #include "kv/kv_store.h"
 #include "kv/rbtree.h"
 
@@ -268,6 +269,59 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // -------------------------------------------------- structure-specific
+
+/**
+ * A chain walk charges each visited node's record and its whole
+ * stored key, as the modeled server reads them. Two buckets hold 16
+ * keys of 2 to 288 bytes in chains of 9 and 7 nodes. Each op's read
+ * lines and accrued cost were recorded when the map still kept a
+ * volatile chain shadow, which charged the same lines by construction.
+ * A walk that skips the key read when the lengths differ charges
+ * fewer.
+ */
+TEST(PmHashmap, DeepChainWalkChargesPinnedReadLines)
+{
+    pm::PmHeap heap(1 << 20);
+    PmHashmap map(heap, 1u);
+    std::vector<std::string> keys;
+    for (int i = 0; i < 16; i++)
+        keys.push_back("k" + std::to_string(i) + std::string(i * 19, '.'));
+    for (std::size_t i = 0; i < keys.size(); i++)
+        map.put(asKey(keys[i]), val(std::to_string(i)));
+
+    struct Charge
+    {
+        std::uint64_t readLines;
+        TickDelta cost;
+    };
+    auto charge = [&heap](auto &&op) {
+        heap.drainCost();
+        std::uint64_t lines = heap.counts().readLines;
+        op();
+        return Charge{heap.counts().readLines - lines, heap.drainCost()};
+    };
+    auto expectCharge = [](Charge got, Charge want, const char *what) {
+        EXPECT_EQ(got.readLines, want.readLines) << what;
+        EXPECT_EQ(got.cost, want.cost) << what;
+    };
+
+    const Charge gets[16] = {
+        {35, 5915}, {33, 5577}, {42, 7098}, {40, 6760},
+        {36, 6084}, {32, 5408}, {30, 5070}, {26, 4394},
+        {29, 4901}, {25, 4225}, {19, 3211}, {13, 2197},
+        {22, 3718}, {8, 1352},  {16, 2704}, {10, 1690},
+    };
+    for (std::size_t i = 0; i < keys.size(); i++)
+        expectCharge(charge([&] { EXPECT_TRUE(map.get(asKey(keys[i]))); }),
+                     gets[i], keys[i].c_str());
+    expectCharge(charge([&] { EXPECT_FALSE(map.get(asKey("absent"))); }),
+                 {40, 6760}, "absent");
+    // keys[8] sits fifth of nine in its chain, keys[7] fourth of seven.
+    expectCharge(charge([&] { map.put(asKey(keys[8]), val("new")); }),
+                 {28, 6522}, "overwrite");
+    expectCharge(charge([&] { EXPECT_TRUE(map.erase(asKey(keys[7]))); }),
+                 {26, 5584}, "erase");
+}
 
 TEST(BTree, StaysBalancedOnInserts)
 {

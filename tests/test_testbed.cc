@@ -71,12 +71,11 @@ TEST(Config, ProfileSelection)
 TEST(Config, EffectiveStackScaleComposition)
 {
     TestbedConfig config;
-    config.stackScale = 2.0;
     config.tcpWorkload = true;
     config.mode = SystemMode::PmnetSwitch;
-    EXPECT_NEAR(config.effectiveStackScale(), 2.18, 1e-9);
+    EXPECT_NEAR(config.effectiveStackScale(), 1.09, 1e-9);
     config.mode = SystemMode::ClientServer;
-    EXPECT_NEAR(config.effectiveStackScale(), 2.0, 1e-9);
+    EXPECT_NEAR(config.effectiveStackScale(), 1.0, 1e-9);
 }
 
 // --------------------------------------------------- topology shapes
