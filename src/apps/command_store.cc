@@ -118,10 +118,6 @@ CommandStore::execute(const Command &cmd, std::uint16_t session)
             return {RespStatus::Error, "INCRBY arity", ""};
         return doIncr(cmd, std::atoll(cmd.args[2].c_str()));
     }
-    if (verb == "APPEND")
-        return doAppend(cmd);
-    if (verb == "CAS")
-        return doCas(cmd);
     if (verb == "LPUSH")
         return doPush(cmd, true);
     if (verb == "RPUSH")
@@ -220,46 +216,6 @@ CommandStore::doIncr(const Command &cmd, std::int64_t by)
     std::string text = std::to_string(current);
     storeValue(key, typed('S', text));
     return {RespStatus::Ok, text, ""};
-}
-
-CommandStore::Result
-CommandStore::doAppend(const Command &cmd)
-{
-    if (cmd.args.size() != 3)
-        return {RespStatus::Error, "APPEND arity", ""};
-    KeyRef key = keyArg(cmd);
-    std::string text;
-    if (auto value = load(key)) {
-        if (value->empty() || (*value)[0] != 'S')
-            return {RespStatus::Error, "WRONGTYPE", ""};
-        text = value->substr(1);
-    }
-    text.append(cmd.args[2]);
-    storeValue(key, typed('S', text));
-    return {RespStatus::Ok, text, ""};
-}
-
-CommandStore::Result
-CommandStore::doCas(const Command &cmd)
-{
-    // CAS key expected new: write only when the current value equals
-    // `expected`. Ok carries the new value on success; a mismatch is
-    // reported as Error carrying the current value (no write); Nil
-    // when the key is absent. KvCacheCodec::applyNearData mirrors
-    // these semantics byte-for-byte for the in-network path.
-    if (cmd.args.size() != 4)
-        return {RespStatus::Error, "CAS arity", ""};
-    KeyRef key = keyArg(cmd);
-    auto value = load(key);
-    if (!value)
-        return {RespStatus::Nil, "", ""};
-    if (value->empty() || (*value)[0] != 'S')
-        return {RespStatus::Error, "WRONGTYPE", ""};
-    std::string current = value->substr(1);
-    if (current != cmd.args[2])
-        return {RespStatus::Error, current, ""};
-    storeValue(key, typed('S', cmd.args[3]));
-    return {RespStatus::Ok, cmd.args[3], ""};
 }
 
 CommandStore::Result

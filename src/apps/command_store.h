@@ -75,8 +75,6 @@ class CommandStore
     Result doDel(const Command &cmd);
     Result doExists(const Command &cmd);
     Result doIncr(const Command &cmd, std::int64_t by);
-    Result doAppend(const Command &cmd);
-    Result doCas(const Command &cmd);
     Result doPush(const Command &cmd, bool front);
     Result doLpop(const Command &cmd);
     Result doLrange(const Command &cmd);

@@ -20,8 +20,6 @@ classifyCommand(const std::string &verb)
         {"DEL", CommandClass::Update},
         {"INCR", CommandClass::Update},
         {"INCRBY", CommandClass::Update},
-        {"APPEND", CommandClass::Update},
-        {"CAS", CommandClass::Update},
         {"LPUSH", CommandClass::Update},
         {"RPUSH", CommandClass::Update},
         {"LPOP", CommandClass::Update},
@@ -191,114 +189,6 @@ KvCacheCodec::makeReadResponse(std::string_view key,
     writer.writeString(std::string_view(
         reinterpret_cast<const char *>(value.data()), value.size()));
     return out;
-}
-
-namespace {
-
-/** Decoded argv views of a near-data payload (zero-copy). */
-struct NearDataArgs
-{
-    std::string_view verb;
-    std::string_view key;
-    std::string_view arg2;
-    std::string_view arg3;
-    std::uint16_t argc = 0;
-};
-
-std::optional<NearDataArgs>
-parseNearDataArgs(const Bytes &payload)
-{
-    ByteReader reader(payload);
-    NearDataArgs out;
-    out.argc = reader.readU16();
-    if (!reader.ok() || out.argc < 2 || out.argc > 4)
-        return std::nullopt;
-    out.verb = reader.readStringView();
-    out.key = reader.readStringView();
-    if (out.argc >= 3)
-        out.arg2 = reader.readStringView();
-    if (out.argc == 4)
-        out.arg3 = reader.readStringView();
-    if (!reader.ok())
-        return std::nullopt;
-    return out;
-}
-
-/** Arity check matching CommandStore's dispatch table. */
-bool
-nearDataArityOk(const NearDataArgs &args)
-{
-    if (args.verb == "INCR")
-        return args.argc == 2;
-    if (args.verb == "INCRBY" || args.verb == "APPEND")
-        return args.argc == 3;
-    if (args.verb == "CAS")
-        return args.argc == 4;
-    return false;
-}
-
-std::string
-toText(const Bytes &bytes)
-{
-    return std::string(bytes.begin(), bytes.end());
-}
-
-} // namespace
-
-std::optional<KeyRef>
-KvCacheCodec::parseNearData(const Bytes &payload) const
-{
-    auto args = parseNearDataArgs(payload);
-    if (!args || !nearDataArityOk(*args))
-        return std::nullopt;
-    return KeyRef(args->key);
-}
-
-std::optional<pmnetdev::CacheCodec::NearDataResult>
-KvCacheCodec::applyNearData(const Bytes &payload, const Bytes &value) const
-{
-    auto args = parseNearDataArgs(payload);
-    if (!args || !nearDataArityOk(*args))
-        return std::nullopt;
-
-    NearDataResult out;
-    if (args->verb == "INCR" || args->verb == "INCRBY") {
-        // Mirror CommandStore::doIncr: atoll over the raw string
-        // (NUL-terminated copies so parse edge cases stay identical).
-        std::int64_t by =
-            args->verb == "INCR"
-                ? 1
-                : std::atoll(std::string(args->arg2).c_str());
-        std::int64_t current = std::atoll(toText(value).c_str());
-        std::string text = std::to_string(current + by);
-        out.wrote = true;
-        out.newValue = Bytes(text.begin(), text.end());
-        out.response = encodeResponse(RespStatus::Ok, text);
-        return out;
-    }
-    if (args->verb == "APPEND") {
-        std::string text = toText(value);
-        text.append(args->arg2);
-        out.wrote = true;
-        out.newValue = Bytes(text.begin(), text.end());
-        out.response = encodeResponse(RespStatus::Ok, text);
-        return out;
-    }
-    if (args->verb == "CAS") {
-        std::string current = toText(value);
-        if (std::string_view(current) == args->arg2) {
-            std::string text(args->arg3);
-            out.wrote = true;
-            out.newValue = Bytes(text.begin(), text.end());
-            out.response = encodeResponse(RespStatus::Ok, text);
-        } else {
-            out.wrote = false;
-            out.newValue = value;
-            out.response = encodeResponse(RespStatus::Error, current);
-        }
-        return out;
-    }
-    return std::nullopt;
 }
 
 } // namespace pmnet::apps

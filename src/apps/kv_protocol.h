@@ -105,19 +105,6 @@ class KvCacheCodec : public pmnetdev::CacheCodec
 
     Bytes makeReadResponse(std::string_view key,
                            const Bytes &value) const override;
-
-    /** @name Near-data RMW (INCR/INCRBY/APPEND/CAS at the device)
-     * applyNearData mirrors CommandStore's string-command semantics
-     * exactly, so a device-computed response is byte-identical to the
-     * server's for the same starting value.
-     *  @{
-     */
-    std::optional<KeyRef>
-    parseNearData(const Bytes &payload) const override;
-
-    std::optional<NearDataResult>
-    applyNearData(const Bytes &payload, const Bytes &value) const override;
-    /** @} */
 };
 
 } // namespace pmnet::apps

@@ -95,6 +95,13 @@ GatewayBridge::onDatagram(const Endpoint &from, const std::uint8_t *data,
     pkt->dstPort = net::kPmnetPortLow;
 
     if (role_ == Role::Daemon) {
+        // A session the server's watermark table cannot hold would be
+        // logged and PMNet-ACKed by the device, then never applied:
+        // drop it here.
+        if (header.sessionId >= sessionLimit_) {
+            sessionOutOfRange++;
+            return;
+        }
         // Requests travel client -> server; everything else a client
         // could send is also addressed to the server (the device taps
         // the path in between, exactly as in the sim topology).
@@ -106,8 +113,7 @@ GatewayBridge::onDatagram(const Endpoint &from, const std::uint8_t *data,
         sessionEndpoints_[header.sessionId] = from;
 
         bool is_request = header.type == PacketType::UpdateReq ||
-                          header.type == PacketType::BypassReq ||
-                          header.type == PacketType::NearDataReq;
+                          header.type == PacketType::BypassReq;
         if (is_request) {
             pkt->requestId = syntheticRequestId(header);
             if (recorder_)
@@ -137,6 +143,7 @@ GatewayBridge::registerMetrics(obs::MetricRegistry &registry,
     registry.attach(base + ".ingressPackets", ingressPackets);
     registry.attach(base + ".egressPackets", egressPackets);
     registry.attach(base + ".parseErrors", parseErrors);
+    registry.attach(base + ".sessionOutOfRange", sessionOutOfRange);
     registry.attach(base + ".unknownSession", unknownSession);
     registry.attach(base + ".nonPmnetDropped", nonPmnetDropped);
 }

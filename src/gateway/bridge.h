@@ -58,6 +58,13 @@ class GatewayBridge : public net::Node
     /** Fixed peer endpoint (Client role). */
     void setPeer(const Endpoint &endpoint) { peer_ = endpoint; }
 
+    /**
+     * Daemon role: the sessions the server's watermark table holds.
+     * An ingress datagram naming a session at or past @p limit is
+     * dropped and counted in sessionOutOfRange.
+     */
+    void setSessionLimit(std::uint32_t limit) { sessionLimit_ = limit; }
+
     /** Wall-clock recorder backend (Daemon role; nullptr detaches). */
     void setRecorder(obs::FlightRecorder *recorder)
     {
@@ -92,9 +99,10 @@ class GatewayBridge : public net::Node
      */
     obs::Counter ingressPackets;
     obs::Counter egressPackets;
-    obs::Counter parseErrors;     ///< undecodable ingress datagrams
-    obs::Counter unknownSession;  ///< egress with no learned endpoint
-    obs::Counter nonPmnetDropped; ///< egress without a PMNet header
+    obs::Counter parseErrors;       ///< undecodable ingress datagrams
+    obs::Counter sessionOutOfRange; ///< ingress past the session limit
+    obs::Counter unknownSession;    ///< egress with no learned endpoint
+    obs::Counter nonPmnetDropped;   ///< egress without a PMNet header
     /** @} */
 
   private:
@@ -102,6 +110,8 @@ class GatewayBridge : public net::Node
     Transport &transport_;
     obs::FlightRecorder *recorder_ = nullptr;
     Endpoint peer_{};
+    /** Every 16-bit session id until setSessionLimit. */
+    std::uint32_t sessionLimit_ = 1u << 16;
     /** sessionId -> last ingress endpoint (Daemon role). */
     std::vector<Endpoint> sessionEndpoints_;
     Bytes txBuf_;

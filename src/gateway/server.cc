@@ -52,6 +52,8 @@ GatewayServer::GatewayServer(Config config)
     assembleTopology();
     recoverOrInit();
     installHandler();
+    // A reopened pool's superblock sets the table size.
+    bridge_.setSessionLimit(serverLib_->config().maxSessions);
 
     transport_.setReceive(
         [this](const Endpoint &from, const std::uint8_t *data,
@@ -157,7 +159,7 @@ void
 GatewayServer::installHandler()
 {
     serverLib_->setHandler(
-        [this](std::uint16_t session, bool is_update, bool is_near_data,
+        [this](std::uint16_t session, bool is_update,
                const Bytes &payload) -> stack::ServerLib::HandlerResult {
             stack::ServerLib::HandlerResult result;
             auto cmd = apps::decodeCommand(payload);
@@ -169,7 +171,7 @@ GatewayServer::installHandler()
             Bytes response = store_->executeToResponse(*cmd, session);
             // No modeled cost: the handler's real runtime already
             // elapsed on the wall clock.
-            if (!is_update || is_near_data)
+            if (!is_update)
                 result.response = std::move(response);
             return result;
         });

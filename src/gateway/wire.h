@@ -76,10 +76,7 @@ constexpr std::uint64_t
 syntheticRequestId(const net::PmnetHeader &header)
 {
     std::uint64_t update_space =
-        header.type == net::PacketType::UpdateReq ||
-                header.type == net::PacketType::NearDataReq
-            ? 1
-            : 0;
+        header.type == net::PacketType::UpdateReq ? 1 : 0;
     return (update_space << 48) |
            (static_cast<std::uint64_t>(header.sessionId) << 32) |
            header.seqNum;

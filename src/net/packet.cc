@@ -246,7 +246,6 @@ packetTypeName(PacketType type)
       case PacketType::RecoveryPoll: return "recovery-poll";
       case PacketType::Heartbeat: return "heartbeat";
       case PacketType::HeartbeatAck: return "heartbeat-ack";
-      case PacketType::NearDataReq: return "near-data-req";
       case PacketType::ResilverPush: return "resilver-push";
     }
     return "unknown";
@@ -316,7 +315,7 @@ PmnetHeader::parse(const std::uint8_t *data, std::size_t len,
     if (len < kWireSize)
         return false;
     std::uint8_t raw_type = data[0];
-    if (raw_type < 1 ||
+    if (raw_type < 1 || raw_type == 10 ||
         raw_type > static_cast<std::uint8_t>(PacketType::ResilverPush)) {
         return false;
     }

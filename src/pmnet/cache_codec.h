@@ -60,46 +60,6 @@ class CacheCodec
     /** Build the Response payload for a cache hit on @p key. */
     virtual Bytes makeReadResponse(std::string_view key,
                                    const Bytes &value) const = 0;
-
-    /** @name Near-data RMW ops (NearDataReq packets, DESIGN.md §13)
-     * Default implementations decline, so codecs that predate
-     * near-data ops keep compiling and the device simply forwards.
-     *  @{
-     */
-
-    /** Result of executing an RMW payload against a cached value. */
-    struct NearDataResult
-    {
-        /** False when the op read but did not write (CAS mismatch). */
-        bool wrote = false;
-        /** The key's value after the op (== old value when !wrote). */
-        Bytes newValue;
-        /** Response payload, byte-identical to the server's. */
-        Bytes response;
-    };
-
-    /** Key a near-data RMW payload targets; nullopt when unknown. */
-    virtual std::optional<KeyRef>
-    parseNearData(const Bytes &payload) const
-    {
-        (void)payload;
-        return std::nullopt;
-    }
-
-    /**
-     * Execute the RMW in @p payload against the cached @p value.
-     * nullopt when the op cannot be computed in-network (unknown verb,
-     * type mismatch); the device then invalidates the cache entry and
-     * lets the server answer.
-     */
-    virtual std::optional<NearDataResult>
-    applyNearData(const Bytes &payload, const Bytes &value) const
-    {
-        (void)payload;
-        (void)value;
-        return std::nullopt;
-    }
-    /** @} */
 };
 
 } // namespace pmnet::pmnetdev

@@ -62,7 +62,6 @@ PmnetDevice::process(PacketPtr pkt)
 
     if (recorder_ &&
         (pkt->pmnet->type == PacketType::UpdateReq ||
-         pkt->pmnet->type == PacketType::NearDataReq ||
          pkt->pmnet->type == PacketType::BypassReq))
         recorder_->stampAt(pkt->requestId, obs::Stamp::DeviceIngress,
                            now());
@@ -70,9 +69,6 @@ PmnetDevice::process(PacketPtr pkt)
     switch (pkt->pmnet->type) {
       case PacketType::UpdateReq:
         handleUpdateReq(pkt);
-        break;
-      case PacketType::NearDataReq:
-        handleNearData(pkt);
         break;
       case PacketType::BypassReq:
         handleBypassReq(pkt);
@@ -391,69 +387,6 @@ PmnetDevice::findPending(std::uint32_t hash_val)
 }
 
 void
-PmnetDevice::handleNearData(const PacketPtr &pkt)
-{
-    stats_.nearDataSeen++;
-
-    // Same integrity discipline as updates: drop on hash mismatch.
-    if (!pkt->verifyHash()) {
-        stats_.bypassBadHash++;
-        traceEvent("bad-hash drop", *pkt);
-        return;
-    }
-
-    // The server stays authoritative: the request always travels on
-    // and is applied there in session order. The device's log entry
-    // covers retransmission/recovery and its early ACK covers
-    // durability; when the read cache holds the key in a serving-safe
-    // state the device additionally computes the RMW result and
-    // answers on the server's behalf — the read-modify-write
-    // completes in the network, no server round trip.
-    forward(pkt);
-
-    LogAttempt attempt = tryLogAndAck(pkt);
-    if (attempt == LogAttempt::Duplicate) {
-        // Resend of an RMW the device already processed: the first
-        // arrival applied it to the cache and (when serving-safe)
-        // answered. Applying INCR/APPEND again would double-apply —
-        // the device would answer v+2 while the server's reply cache
-        // replays v+1, and the cached value would diverge for good.
-        // tryLogAndAck re-ACKed durability if appropriate; the value
-        // comes from the server's session reply cache.
-        traceEvent("near-data dup", *pkt);
-        return;
-    }
-    bool logged = attempt == LogAttempt::Logged;
-
-    if (!codec_)
-        return;
-    auto key = codec_->parseNearData(pkt->payload);
-    if (!key)
-        return;
-    if (const Bytes *cached = cache_.lookup(*key)) {
-        if (auto applied = codec_->applyNearData(pkt->payload, *cached)) {
-            stats_.nearDataServed++;
-            traceEvent("near-data served", *pkt);
-            if (applied->wrote)
-                cache_.onUpdate(
-                    *key,
-                    std::string_view(reinterpret_cast<const char *>(
-                                         applied->newValue.data()),
-                                     applied->newValue.size()),
-                    logged);
-            respondForServer(*pkt, std::move(applied->response));
-            if (applied->wrote && !logged)
-                trackUnlogged(pkt->pmnet->hashVal, *key);
-            return;
-        }
-    }
-    // The RMW will change the key's value at the server but the
-    // device cannot compute it here: drop whatever is cached so a
-    // later read cannot be served stale.
-    cache_.invalidate(*key);
-}
-
-void
 PmnetDevice::handleBypassReq(const PacketPtr &pkt)
 {
     if (codec_) {
@@ -481,9 +414,6 @@ PmnetDevice::handleServerAck(const PacketPtr &pkt)
         // Drive the cache transition before the entry disappears.
         if (auto parsed = parsedKeyOf(*entry->packet))
             cache_.onServerAck(parsed->key);
-        else if (codec_)
-            if (auto key = codec_->parseNearData(entry->packet->payload))
-                cache_.onServerAck(*key);
         store_.erase(header.hashVal);
         stats_.invalidations++;
         traceEvent("invalidate", *pkt);
@@ -799,8 +729,6 @@ PmnetDevice::registerMetrics(obs::MetricRegistry &registry,
     registry.attach(base + ".retransServed", stats_.retransServed);
     registry.attach(base + ".retransForwarded", stats_.retransForwarded);
     registry.attach(base + ".cacheResponses", stats_.cacheResponses);
-    registry.attach(base + ".nearDataSeen", stats_.nearDataSeen);
-    registry.attach(base + ".nearDataServed", stats_.nearDataServed);
     registry.attach(base + ".recoveryPolls", stats_.recoveryPolls);
     registry.attach(base + ".recoveryResent", stats_.recoveryResent);
     registry.attach(base + ".reforwarded", stats_.reforwarded);

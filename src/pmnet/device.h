@@ -150,8 +150,6 @@ struct DeviceStats
     obs::Counter retransServed;
     obs::Counter retransForwarded;
     obs::Counter cacheResponses;
-    obs::Counter nearDataSeen;
-    obs::Counter nearDataServed; ///< RMW answered in-network
     obs::Counter recoveryPolls;
     obs::Counter recoveryResent;
     obs::Counter reforwarded; ///< stale un-ACKed entries re-sent
@@ -278,7 +276,6 @@ class PmnetDevice : public net::ForwardingNode
   private:
     void process(net::PacketPtr pkt);
     void handleUpdateReq(const net::PacketPtr &pkt);
-    void handleNearData(const net::PacketPtr &pkt);
     void handleBypassReq(const net::PacketPtr &pkt);
     void handleServerAck(const net::PacketPtr &pkt);
     void handleRetrans(const net::PacketPtr &pkt);
@@ -370,11 +367,11 @@ class PmnetDevice : public net::ForwardingNode
     };
 
     /**
-     * Shared logging attempt for UpdateReq/NearDataReq: duplicate
-     * re-ACK, bypass degradations, SRAM admission, and the PM-write
-     * continuation. Duplicate covers committed entries and pending
-     * writes (queued, staged or fencing) — a resend must never be
-     * logged (or served) twice, nor re-ACKed before it is durable.
+     * Logging attempt for an UpdateReq: duplicate re-ACK, bypass
+     * degradations, SRAM admission, and the PM-write continuation.
+     * Duplicate covers committed entries and pending writes (queued,
+     * staged or fencing) — a resend must never be logged twice, nor
+     * re-ACKed before it is durable.
      */
     LogAttempt tryLogAndAck(const net::PacketPtr &pkt);
 
@@ -393,7 +390,7 @@ class PmnetDevice : public net::ForwardingNode
 
     /**
      * Answer @p req on its server's behalf with a Response carrying
-     * @p payload (read-cache hit, near-data RMW served in-network).
+     * @p payload (a read-cache hit).
      */
     void respondForServer(const net::Packet &req, Bytes payload);
 

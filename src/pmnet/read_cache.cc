@@ -182,16 +182,6 @@ ReadCache::lookup(KeyRef key)
     return &table_.entry(idx).value.value;
 }
 
-void
-ReadCache::invalidate(KeyRef key)
-{
-    Index idx = table_.find(key);
-    if (idx == kNil)
-        return;
-    unlink(idx);
-    table_.eraseIndex(idx);
-}
-
 CacheState
 ReadCache::stateOf(KeyRef key) const
 {

@@ -86,13 +86,6 @@ class ReadCache
 
     /** Current state of @p key (Invalid when absent). */
     CacheState stateOf(KeyRef key) const;
-
-    /**
-     * Drop @p key entirely. Used when a near-data RMW will change the
-     * key's value at the server but the device could not compute the
-     * result in-network — serving the old value would be stale.
-     */
-    void invalidate(KeyRef key);
     /** @} */
 
     /** @name std::string adapters (tests and non-hot callers)

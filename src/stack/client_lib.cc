@@ -176,57 +176,6 @@ ClientLib::bypass(Bytes payload, std::uint64_t key_hash, BypassDone done)
     host_.appSend({pkt});
 }
 
-void
-ClientLib::sendNearData(Bytes payload, std::uint64_t key_hash,
-                        BypassDone done)
-{
-    if (!sessionOpen_)
-        fatal("ClientLib(%s): sendNearData before startSession",
-              host_.name().c_str());
-    if (payload.size() > config_.mtuPayload)
-        fatal("ClientLib(%s): near-data payload %zu exceeds MTU "
-              "payload %zu",
-              host_.name().c_str(), payload.size(), config_.mtuPayload);
-    stats_.nearDataSent++;
-
-    unsigned shard = shardFor(key_hash);
-    ShardSeq &seqs = shardSeqs_[shard];
-
-    std::uint64_t request_id = newRequestId(shard);
-    // Near-data requests are update-class: they consume the update
-    // sequence space so the server's redo log stays contiguous.
-    std::uint32_t seq = seqs.nextUpdate++;
-    if (recorder_)
-        recorder_->begin(request_id, config_.sessionId, seq, true,
-                         host_.simulator().now(), shard);
-    PacketPtr pkt = net::makePmnetPacket(host_.id(), serverFor(shard),
-                                         PacketType::NearDataReq,
-                                         config_.sessionId, seq,
-                                         std::move(payload), request_id);
-
-    Request req;
-    req.id = request_id;
-    req.isUpdate = true;
-    req.isNearData = true;
-    req.shard = shard;
-    req.requireServerAck =
-        shardMap_ &&
-        shardMap_->health(shard) != pmnet::ShardMap::Health::Healthy;
-    req.bypassDone = std::move(done);
-    req.firstSeq = seq;
-    req.fragments.push_back(Fragment{pkt, {}, false});
-    hashToRequest_[pkt->pmnet->hashVal] = request_id;
-
-    auto [it, inserted] = requests_.emplace(request_id, std::move(req));
-    (void)inserted;
-    armTimer(it->second);
-    if (shardDark(shard)) {
-        stats_.shardParked++;
-        return;
-    }
-    host_.appSend({pkt});
-}
-
 ClientLib::Request *
 ClientLib::requestForHash(std::uint32_t hash, std::uint32_t seq,
                           std::size_t *index_out)
@@ -371,14 +320,7 @@ ClientLib::maybeComplete(std::uint64_t request_id)
                 return;
             all_pmnet &= !frag.serverAcked;
         }
-        // Near-data completion additionally needs the computed value:
-        // persistence alone does not answer an RMW.
-        if (req.isNearData && !req.responseReceived)
-            return;
-        if (req.isNearData)
-            stats_.nearDataCompleted++;
-        else
-            stats_.updatesCompleted++;
+        stats_.updatesCompleted++;
         by_pmnet_ack = all_pmnet;
         if (all_pmnet)
             stats_.completedByPmnetAck++;
@@ -404,10 +346,9 @@ ClientLib::maybeComplete(std::uint64_t request_id)
     BypassDone bypass_done = std::move(req.bypassDone);
     Bytes response = std::move(req.response);
     bool is_update = req.isUpdate;
-    bool is_near_data = req.isNearData;
     requests_.erase(it);
 
-    if (is_near_data || !is_update) {
+    if (!is_update) {
         if (bypass_done)
             bypass_done(response);
     } else {
@@ -423,11 +364,8 @@ ClientLib::registerMetrics(obs::MetricRegistry &registry,
     std::string base(prefix);
     registry.attach(base + ".updatesSent", stats_.updatesSent);
     registry.attach(base + ".bypassSent", stats_.bypassSent);
-    registry.attach(base + ".nearDataSent", stats_.nearDataSent);
     registry.attach(base + ".updatesCompleted", stats_.updatesCompleted);
     registry.attach(base + ".bypassCompleted", stats_.bypassCompleted);
-    registry.attach(base + ".nearDataCompleted",
-                    stats_.nearDataCompleted);
     registry.attach(base + ".completedByPmnetAck",
                     stats_.completedByPmnetAck);
     registry.attach(base + ".completedByServerAck",
@@ -470,8 +408,7 @@ ClientLib::onTimeout(std::uint64_t request_id)
         if (!fragmentComplete(req, frag))
             resend.push_back(frag.packet);
     }
-    if ((!req.isUpdate || req.isNearData) && !req.responseReceived &&
-        resend.empty())
+    if (!req.isUpdate && !req.responseReceived && resend.empty())
         resend.push_back(req.fragments.front().packet);
 
     if (!resend.empty()) {

@@ -68,10 +68,8 @@ struct ClientStats
 {
     obs::Counter updatesSent;
     obs::Counter bypassSent;
-    obs::Counter nearDataSent;
     obs::Counter updatesCompleted;
     obs::Counter bypassCompleted;
-    obs::Counter nearDataCompleted;
     obs::Counter completedByPmnetAck;
     obs::Counter completedByServerAck;
     obs::Counter timeouts;
@@ -99,7 +97,7 @@ class ClientLib
      * of shard s. Each shard gets an independent update/bypass
      * sequence space so every shard's server sees a contiguous
      * stream. Callers then pass the key hash computed at parse time
-     * (KeyRef, PR 3 — never rehash) to sendUpdate/bypass/sendNearData.
+     * (KeyRef; never rehash) to sendUpdate/bypass.
      * Without a map, all requests go to config().server unchanged.
      */
     void setShardMap(const pmnet::ShardMap *map,
@@ -135,22 +133,6 @@ class ClientLib
         bypass(std::move(payload), 0, std::move(done));
     }
 
-    /**
-     * Send a near-data RMW request (NearPM-style INCR/APPEND/CAS,
-     * executed at the switch when the key is cached, at the server
-     * otherwise). Travels in the update sequence space and is logged
-     * like an update, but only completes once a Response arrives —
-     * the caller needs the computed value, not just durability. Must
-     * fit in one MTU payload. @p key_hash selects the owning shard
-     * when a shard map is set (ignored otherwise).
-     */
-    void sendNearData(Bytes payload, std::uint64_t key_hash,
-                      BypassDone done);
-    void sendNearData(Bytes payload, BypassDone done)
-    {
-        sendNearData(std::move(payload), 0, std::move(done));
-    }
-
     /** Requests (of both kinds) still in flight. */
     std::size_t outstanding() const { return requests_.size(); }
 
@@ -182,8 +164,6 @@ class ClientLib
     {
         std::uint64_t id = 0;
         bool isUpdate = true;
-        /** Update-class, but additionally waits for a Response. */
-        bool isNearData = false;
         /** Owning shard (0 without a shard map). */
         unsigned shard = 0;
         /**

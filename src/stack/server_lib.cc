@@ -100,7 +100,6 @@ ServerLib::registerMetrics(obs::MetricRegistry &registry,
     std::string base(prefix);
     registry.attach(base + ".updatesApplied", stats_.updatesApplied);
     registry.attach(base + ".bypassApplied", stats_.bypassApplied);
-    registry.attach(base + ".nearDataApplied", stats_.nearDataApplied);
     registry.attach(base + ".duplicatesDropped", stats_.duplicatesDropped);
     registry.attach(base + ".hashRejected", stats_.hashRejected);
     registry.attach(base + ".makeupAcks", stats_.makeupAcks);
@@ -151,8 +150,7 @@ ServerLib::onReceive(const PacketPtr &pkt)
         return;
     }
     if (header.type != PacketType::UpdateReq &&
-        header.type != PacketType::BypassReq &&
-        header.type != PacketType::NearDataReq) {
+        header.type != PacketType::BypassReq) {
         debug("%s: unexpected %s at server", host_.name().c_str(),
               net::describe(*pkt).c_str());
         return;
@@ -179,7 +177,7 @@ ServerLib::onReceive(const PacketPtr &pkt)
     }
 
     if (header.seqNum <= session.applied) {
-        handleDuplicate(session, *pkt);
+        handleDuplicate(*pkt);
         return;
     }
     if (header.seqNum < session.nextExpected) {
@@ -199,7 +197,7 @@ ServerLib::onReceive(const PacketPtr &pkt)
                                       header.sessionId, header.seqNum,
                                       header.hashVal, pkt->requestId);
         host_.simulator().schedule(
-            config_.arrivalLogDelay + config_.arrivalAckExtraDelay,
+            kArrivalLogDelay + config_.arrivalAckExtraDelay,
             [this, epoch, ack]() {
                 if (epoch != epoch_ || !host_.isUp())
                     return;
@@ -215,7 +213,7 @@ ServerLib::onReceive(const PacketPtr &pkt)
 }
 
 void
-ServerLib::handleDuplicate(Session &session, const net::Packet &pkt)
+ServerLib::handleDuplicate(const net::Packet &pkt)
 {
     stats_.duplicatesDropped++;
     const net::PmnetHeader &header = *pkt.pmnet;
@@ -225,28 +223,10 @@ ServerLib::handleDuplicate(Session &session, const net::Packet &pkt)
     // and unblock the client.
     stats_.makeupAcks++;
     stats_.acksSent++;
-    std::vector<PacketPtr> out;
-    out.push_back(net::makeRefPacket(host_.id(), pkt.src,
-                                     PacketType::ServerAck,
-                                     header.sessionId, header.seqNum,
-                                     header.hashVal, pkt.requestId));
-
-    // A duplicate near-data request also needs its computed value
-    // again: the ACK only covers durability.
-    if (header.type == PacketType::NearDataReq) {
-        auto cached = session.nearDataReplyCache.find(header.seqNum);
-        if (cached != session.nearDataReplyCache.end()) {
-            stats_.replayedReplies++;
-            stats_.responsesSent++;
-            net::MutPacketPtr resp = net::makeRefPacketMut(
-                host_.id(), pkt.src, PacketType::Response,
-                header.sessionId, header.seqNum, header.hashVal,
-                pkt.requestId);
-            resp->payload = cached->second;
-            out.push_back(resp);
-        }
-    }
-    host_.appSend(std::move(out));
+    host_.appSend({net::makeRefPacket(host_.id(), pkt.src,
+                                      PacketType::ServerAck,
+                                      header.sessionId, header.seqNum,
+                                      header.hashVal, pkt.requestId)});
 }
 
 void
@@ -323,8 +303,6 @@ ServerLib::tryAssemble(std::uint16_t sid, Session &session)
         req.session = sid;
         req.isUpdate =
             first.pmnet->type != PacketType::BypassReq;
-        req.isNearData =
-            first.pmnet->type == PacketType::NearDataReq;
         req.firstSeq = first_seq;
         req.lastSeq = first_seq + count - 1;
         req.requestId = first.requestId;
@@ -440,8 +418,7 @@ ServerLib::pump()
         heap_.drainCost();
         HandlerResult result;
         if (handler_)
-            result = handler_(req.session, req.isUpdate,
-                              req.isNearData, req.payload);
+            result = handler_(req.session, req.isUpdate, req.payload);
         result.cost += heap_.drainCost();
 
         // Commit point for updates: the watermark is persisted in the
@@ -491,10 +468,7 @@ ServerLib::finishRequest(std::uint16_t sid, const ReadyRequest &req,
 
     std::vector<PacketPtr> out;
     if (req.isUpdate) {
-        if (req.isNearData)
-            stats_.nearDataApplied++;
-        else
-            stats_.updatesApplied++;
+        stats_.updatesApplied++;
         for (std::uint32_t i = 0;
              !config_.ackOnArrival && i < req.fragHashes.size(); i++) {
             stats_.acksSent++;
@@ -516,15 +490,8 @@ ServerLib::finishRequest(std::uint16_t sid, const ReadyRequest &req,
         out.push_back(resp);
         if (!req.isUpdate) {
             session.replyCache[req.firstSeq] = std::move(body);
-            while (session.replyCache.size() >
-                   config_.replyCachePerSession)
+            while (session.replyCache.size() > kReplyCachePerSession)
                 session.replyCache.erase(session.replyCache.begin());
-        } else if (req.isNearData) {
-            session.nearDataReplyCache[req.firstSeq] = std::move(body);
-            while (session.nearDataReplyCache.size() >
-                   config_.replyCachePerSession)
-                session.nearDataReplyCache.erase(
-                    session.nearDataReplyCache.begin());
         }
     }
     if (!req.isUpdate)

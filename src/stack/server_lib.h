@@ -41,6 +41,15 @@
 
 namespace pmnet::stack {
 
+/** Replies cached per session for duplicate bypass requests. */
+inline constexpr std::size_t kReplyCachePerSession = 32;
+
+/**
+ * Server-side logging (ServerConfig::ackOnArrival): the local PM log
+ * write between a request's arrival and its early ACK.
+ */
+inline constexpr TickDelta kArrivalLogDelay = nanoseconds(400);
+
 /** Server-side protocol and processing parameters. */
 struct ServerConfig
 {
@@ -54,19 +63,17 @@ struct ServerConfig
     TickDelta retransInterval = microseconds(200);
     /** Sessions the persistent watermark table can hold. */
     std::uint32_t maxSessions = 1024;
-    /** Replies cached per session for duplicate bypass requests. */
-    std::size_t replyCachePerSession = 32;
 
     /** @name Server-side logging alternative (paper Fig 17b / Fig 18)
      * When ackOnArrival is set, the server logs the raw request to
      * its local PM right after the RX stack and acknowledges the
      * client immediately, moving only the *processing* time off the
-     * critical path. arrivalAckExtraDelay models the replication
-     * round among logging servers in the 3-way variant.
+     * critical path: the ACK leaves kArrivalLogDelay after arrival.
+     * arrivalAckExtraDelay models the replication round among logging
+     * servers in the 3-way variant.
      *  @{
      */
     bool ackOnArrival = false;
-    TickDelta arrivalLogDelay = nanoseconds(400);
     TickDelta arrivalAckExtraDelay = 0;
     /** @} */
 };
@@ -80,7 +87,6 @@ struct ServerStats
 {
     obs::Counter updatesApplied;
     obs::Counter bypassApplied;
-    obs::Counter nearDataApplied;
     obs::Counter duplicatesDropped;
     obs::Counter hashRejected;
     obs::Counter makeupAcks;
@@ -106,13 +112,10 @@ class ServerLib
 
     /**
      * Application request handler. Executes the real work
-     * synchronously and returns its simulated cost. is_near_data
-     * marks update-class RMW requests whose computed value must be
-     * returned as a Response (is_update is also true for those).
+     * synchronously and returns its simulated cost.
      */
     using Handler = std::function<HandlerResult(
-        std::uint16_t session, bool is_update, bool is_near_data,
-        const Bytes &payload)>;
+        std::uint16_t session, bool is_update, const Bytes &payload)>;
 
     ServerLib(Host &host, pm::PmHeap &heap, ServerConfig config = {});
 
@@ -160,7 +163,6 @@ class ServerLib
     {
         std::uint16_t session = 0;
         bool isUpdate = true;
-        bool isNearData = false;
         std::uint32_t firstSeq = 0;
         std::uint32_t lastSeq = 0;
         std::vector<std::uint32_t> fragHashes;
@@ -188,19 +190,12 @@ class ServerLib
          */
         std::map<std::uint32_t, Bytes> replyCache;
         std::set<std::uint32_t> bypassInFlight;
-        /**
-         * Near-data responses keyed by *update-space* seq: a
-         * duplicate NearDataReq below the watermark must get its
-         * Response replayed (a make-up ACK alone would leave the
-         * client waiting for the computed value).
-         */
-        std::map<std::uint32_t, Bytes> nearDataReplyCache;
     };
 
     void onReceive(const net::PacketPtr &pkt);
     Session &sessionFor(std::uint16_t sid);
     Session &sessionSlot(std::uint16_t sid);
-    void handleDuplicate(Session &session, const net::Packet &pkt);
+    void handleDuplicate(const net::Packet &pkt);
     void handleBypassArrival(std::uint16_t sid, Session &session,
                              const net::PacketPtr &pkt);
     void tryAssemble(std::uint16_t sid, Session &session);

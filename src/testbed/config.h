@@ -48,6 +48,19 @@ enum class ServerKind {
     CommandStore, ///< real persistent KV/Redis store
 };
 
+/** Pipeline latency of the plain (non-PMNet) ToR switch. */
+inline constexpr TickDelta kPlainSwitchLatency = nanoseconds(500);
+
+/** @name Parametric pieces of the alternative designs (Fig 18)
+ * The client-side logger's local IPC+log delay, and the extra
+ * replication delays. Derived from the same calibrated constants.
+ *  @{
+ */
+inline constexpr TickDelta kClientLocalLogDelay = microseconds(10.4);
+inline constexpr TickDelta kClientLogReplicationDelay = microseconds(41.6);
+inline constexpr TickDelta kServerLogReplicationDelay = microseconds(46.0);
+/** @} */
+
 /** Factory producing each client's workload (by session id). */
 using WorkloadFactory =
     std::function<std::unique_ptr<apps::Workload>(std::uint16_t)>;
@@ -71,12 +84,6 @@ struct TestbedConfig
      * routing is keyed; ideal handlers have no keys).
      */
     unsigned shards = 1;
-
-    /**
-     * Virtual nodes per shard on the consistent-hash ring; more
-     * vnodes = more even key-space split per shard.
-     */
-    unsigned shardVnodes = pmnet::ShardMap::kDefaultVnodes;
 
     /**
      * Open-loop clients: instead of issuing the next command when the
@@ -148,29 +155,15 @@ struct TestbedConfig
      * RunResults carries the five-way latency breakdown. Off by
      * default so measurement runs stay byte-identical to pre-obs
      * builds.
-     *  @{
      */
     bool observability = false;
-    /** Flight-recorder trace slots (oldest evicted on wrap-around). */
-    std::size_t flightSlots = 4096;
-    /** @} */
 
     // ------------------------------------------------ substrate knobs
 
     net::LinkConfig link;           ///< 10 Gbps, 300 ns per hop
-    TickDelta plainSwitchLatency = nanoseconds(500);
     pmnetdev::DeviceConfig device;  ///< 273 ns PM, 4 KB queues
     stack::ServerConfig server;     ///< 20 workers, 12 us dispatch
     stack::ClientConfig clientDefaults; ///< timeout, MTU
-
-    /**
-     * Parametric pieces of the alternative designs (Fig 18): the
-     * client-side logger's local IPC+log delay, and the extra
-     * replication delays. Derived from the same calibrated constants.
-     */
-    TickDelta clientLocalLogDelay = microseconds(10.4);
-    TickDelta clientLogReplicationDelay = microseconds(41.6);
-    TickDelta serverLogReplicationDelay = microseconds(46.0);
 
     /** True when this mode routes PMNet traffic through a device. */
     bool

@@ -97,8 +97,8 @@ ClientDriver::issueCurrent()
             // to the server in the background.
             lib_.sendUpdate(std::move(payload), key_hash, []() {});
             TickDelta local = config_.replicationDegree > 1
-                                  ? config_.clientLogReplicationDelay
-                                  : config_.clientLocalLogDelay;
+                                  ? kClientLogReplicationDelay
+                                  : kClientLocalLogDelay;
             sim_.schedule(local, [this, issued_at]() {
                 recordAndAdvance(issued_at, true);
             });

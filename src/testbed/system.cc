@@ -58,8 +58,7 @@ Testbed::buildTopology()
     shardUnits_.resize(config_.shards);
     bool multi = config_.shards > 1;
     if (multi)
-        shardMap_ = std::make_unique<pmnet::ShardMap>(
-            config_.shards, config_.shardVnodes);
+        shardMap_ = std::make_unique<pmnet::ShardMap>(config_.shards);
 
     // Node-creation order fixes NodeIds:
     // [server0, tor, clients..., shard0 devices..., server1, shard1
@@ -76,8 +75,8 @@ Testbed::buildTopology()
                           : config_.replicationDegree)
                    : 0;
 
-    auto &tor = topo_->addNode<net::BasicSwitch>(
-        "tor", config_.plainSwitchLatency);
+    auto &tor =
+        topo_->addNode<net::BasicSwitch>("tor", kPlainSwitchLatency);
     tor_ = &tor;
 
     // Clients hang off the merge/ToR switch.
@@ -149,7 +148,7 @@ Testbed::buildServerApp()
         server_config.ackOnArrival = true;
         server_config.arrivalAckExtraDelay =
             config_.replicationDegree > 1
-                ? config_.serverLogReplicationDelay
+                ? kServerLogReplicationDelay
                 : 0;
     }
 
@@ -207,14 +206,13 @@ Testbed::installHandlerFor(std::size_t s)
 {
     shardUnits_[s].serverLib->setHandler(
         [this, s](std::uint16_t session, bool is_update,
-                  bool is_near_data,
                   const Bytes &payload) -> stack::ServerLib::HandlerResult {
             stack::ServerLib::HandlerResult result;
             if (config_.serverKind == ServerKind::Ideal) {
                 result.cost = config_.idealHandlerCost;
                 if (is_update)
                     result.cost += config_.serverReplicationCommitDelay;
-                if (!is_update || is_near_data)
+                if (!is_update)
                     result.response = apps::encodeResponse(
                         apps::RespStatus::Ok, "OK");
                 return result;
@@ -230,9 +228,8 @@ Testbed::installHandlerFor(std::size_t s)
             Bytes response =
                 shardUnits_[s].store->executeToResponse(*cmd, session);
             result.cost += config_.appOverhead;
-            // Ordinary updates complete on ACKs alone; near-data RMWs
-            // additionally return the computed value.
-            if (!is_update || is_near_data)
+            // Updates complete on ACKs alone.
+            if (!is_update)
                 result.response = std::move(response);
             // Baseline server-side replication (Fig 21): committing
             // includes syncing the replicas before the ACK leaves.
@@ -352,7 +349,7 @@ Testbed::wireObservability()
     // The flight recorder is opt-in: stamping is cheap but not free,
     // and the figure binaries promise byte-identical output with it
     // off.
-    recorder_ = std::make_unique<obs::FlightRecorder>(config_.flightSlots);
+    recorder_ = std::make_unique<obs::FlightRecorder>();
     obs::FlightRecorder *rec = recorder_.get();
     for (auto &client : clients_) {
         client.host->setRecorder(rec);

@@ -1021,146 +1021,5 @@ TEST(GroupCommit, DuplicateInPerOpFenceWindowWaitsForDeferredAck)
     expectDuplicateInFenceWindowWaitsForDeferredAck(1);
 }
 
-// ---------------------------------------------------- near-data RMWs
-
-struct NearDataRig : CacheRig
-{
-    PacketPtr
-    nearCmd(std::uint32_t seq, std::vector<std::string> args)
-    {
-        return net::makePmnetPacket(
-            client->id(), server->id(), PacketType::NearDataReq, 1, seq,
-            apps::encodeCommand(apps::Command{std::move(args)}));
-    }
-
-    void
-    persistKey(std::uint32_t seq, const std::string &key,
-               const std::string &value)
-    {
-        auto set = setCmd(seq, key, value);
-        fromClient(set);
-        sim.run();
-        fromServer(net::makeRefPacket(server->id(), client->id(),
-                                      PacketType::ServerAck, 1, seq,
-                                      set->pmnet->hashVal));
-        sim.run();
-        ASSERT_EQ(dev->cache().stateOf(key), CacheState::Persisted);
-    }
-};
-
-TEST(DeviceNearData, IncrServedFromCache)
-{
-    NearDataRig rig;
-    rig.persistKey(1, "ctr", "5");
-
-    rig.fromClient(rig.nearCmd(2, {"INCR", "ctr"}));
-    rig.sim.run();
-
-    // The device computed 5+1, answered on the server's behalf, and
-    // still forwarded the request (server stays authoritative) and
-    // logged + early-ACKed it like an update.
-    EXPECT_EQ(rig.stat("nearDataSeen"), 1u);
-    EXPECT_EQ(rig.stat("nearDataServed"), 1u);
-    EXPECT_EQ(rig.server->countType(PacketType::NearDataReq), 1u);
-    EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 2u);
-    ASSERT_EQ(rig.client->countType(PacketType::Response), 1u);
-    auto resp = rig.client->lastOfType(PacketType::Response);
-    auto decoded = apps::decodeResponse(resp->payload);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->status, apps::RespStatus::Ok);
-    EXPECT_EQ(decoded->value, "6");
-    // The cache tracks the computed value as an in-flight update.
-    EXPECT_EQ(rig.dev->cache().stateOf("ctr"), CacheState::Pending);
-}
-
-TEST(DeviceNearData, CasMismatchAnswersWithoutWriting)
-{
-    NearDataRig rig;
-    rig.persistKey(1, "k", "5");
-
-    rig.fromClient(rig.nearCmd(2, {"CAS", "k", "9", "7"}));
-    rig.sim.run();
-
-    ASSERT_EQ(rig.client->countType(PacketType::Response), 1u);
-    auto decoded = apps::decodeResponse(
-        rig.client->lastOfType(PacketType::Response)->payload);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->status, apps::RespStatus::Error);
-    EXPECT_EQ(decoded->value, "5") << "CAS mismatch echoes current";
-    EXPECT_EQ(rig.dev->cache().stateOf("k"), CacheState::Persisted)
-        << "failed CAS writes nothing";
-}
-
-TEST(DeviceNearData, UncomputableEntryInvalidatedNotServed)
-{
-    NearDataRig rig;
-    // Two in-flight SETs leave the entry Stale: not serving-safe.
-    rig.fromClient(rig.setCmd(1, "k", "v1"));
-    rig.sim.run();
-    rig.fromClient(rig.setCmd(2, "k", "v2"));
-    rig.sim.run();
-    ASSERT_EQ(rig.dev->cache().stateOf("k"), CacheState::Stale);
-
-    rig.fromClient(rig.nearCmd(3, {"APPEND", "k", "x"}));
-    rig.sim.run();
-
-    // The device cannot compute the RMW; the request goes to the
-    // server and whatever was cached is dropped so it can never serve
-    // a value the RMW is about to change.
-    EXPECT_EQ(rig.stat("nearDataServed"), 0u);
-    EXPECT_EQ(rig.client->countType(PacketType::Response), 0u);
-    EXPECT_EQ(rig.server->countType(PacketType::NearDataReq), 1u);
-    EXPECT_EQ(rig.dev->cache().stateOf("k"), CacheState::Invalid);
-}
-
-TEST(DeviceNearData, DuplicateNotReappliedOrReserved)
-{
-    // A client resend of an already-logged RMW (its Response was
-    // lost) must not run the in-network compute again: the device
-    // would double-apply INCR against the cache and answer 7 while
-    // the server's reply cache replays 6. The duplicate is re-ACKed
-    // for durability and forwarded; nothing else.
-    NearDataRig rig;
-    rig.persistKey(1, "ctr", "5");
-
-    auto incr = rig.nearCmd(2, {"INCR", "ctr"});
-    rig.fromClient(incr);
-    rig.sim.run();
-    ASSERT_EQ(rig.stat("nearDataServed"), 1u);
-    ASSERT_EQ(rig.client->countType(PacketType::Response), 1u);
-
-    rig.fromClient(incr); // resend after a lost Response
-    rig.sim.run();
-    EXPECT_EQ(rig.stat("nearDataServed"), 1u)
-        << "duplicate must not be computed or served again";
-    EXPECT_EQ(rig.client->countType(PacketType::Response), 1u);
-    EXPECT_EQ(rig.stat("updatesReAcked"), 1u)
-        << "durability is still re-ACKed";
-    EXPECT_EQ(rig.server->countType(PacketType::NearDataReq), 2u)
-        << "the duplicate still travels to the server";
-
-    // The cached value must still be the single application (6, not
-    // 7): a GET served by the switch proves it was not re-applied.
-    rig.fromClient(rig.getCmd(3, "ctr"));
-    rig.sim.run();
-    ASSERT_EQ(rig.stat("cacheResponses"), 1u);
-    auto decoded = apps::decodeResponse(
-        rig.client->lastOfType(PacketType::Response)->payload);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->value, "6") << "INCR applied exactly once";
-}
-
-TEST(DeviceNearData, CorruptNearDataDropped)
-{
-    NearDataRig rig;
-    auto bad = std::make_shared<net::Packet>(*rig.nearCmd(1, {"INCR", "k"}));
-    bad->pmnet->hashVal ^= 0xFF;
-    rig.fromClient(bad);
-    rig.sim.run();
-    EXPECT_EQ(rig.server->countType(PacketType::NearDataReq), 0u);
-    EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
-    EXPECT_EQ(rig.stat("bypassBadHash"), 1u);
-}
-
 } // namespace
 } // namespace pmnet::pmnetdev

@@ -10,8 +10,9 @@
  *    test_net.cc and round-trip through Packet::parsePayload.
  *  - GatewayLoopback.*: a whole in-process daemon on an ephemeral UDP
  *    port, driven by GatewayClient over 127.0.0.1 — end-to-end
- *    set/get, per-session overwrite order, and duplicate suppression
- *    of a raw re-sent datagram.
+ *    set/get, per-session overwrite order, duplicate suppression of
+ *    a raw re-sent datagram, and the ingress drop of a session the
+ *    server cannot hold.
  *  - GatewayRecovery.*: the daemon is destroyed without a graceful
  *    sync, or runs in a forked child that is SIGKILLed, and is
  *    reassembled on the same dataDir; every previously acked update
@@ -135,8 +136,6 @@ TEST(GatewayWire, EveryFrameTypeCrossesTheSeamByteIdentically)
                              net::PacketType::UpdateReq, 3, 5, cmd),
         net::makePmnetPacket(clientNode(3), kServerNode,
                              net::PacketType::BypassReq, 3, 5, cmd),
-        net::makePmnetPacket(clientNode(3), kServerNode,
-                             net::PacketType::NearDataReq, 3, 5, cmd),
         net::makeRefPacket(kDeviceNode, clientNode(3),
                            net::PacketType::PmnetAck, 3, 5, 0x12345678),
         net::makeRefPacket(kServerNode, clientNode(3),
@@ -331,6 +330,39 @@ TEST(GatewayLoopback, DuplicateRawDatagramIsSuppressedAndReAcked)
     EXPECT_GE(metrics.value("device.updatesReAcked") +
                   metrics.value("server.duplicatesDropped"),
               1u);
+}
+
+TEST(GatewayLoopback, OutOfRangeSessionIsDroppedAtIngress)
+{
+    DaemonHarness harness;
+
+    // Anyone can compute the header CRC. A session past the server's
+    // watermark table must be dropped at ingress, not logged and
+    // acked by the device, nor crash the daemon.
+    constexpr std::uint16_t kSession = 2000;
+    net::PacketPtr update = net::makePmnetPacket(
+        clientNode(kSession), kServerNode, net::PacketType::UpdateReq,
+        kSession, 1,
+        apps::encodeCommand(apps::Command{{"SET", "far", "away"}}));
+    Bytes wire = update->serializePayload();
+    UdpTransport raw;
+    Endpoint daemonAt = Endpoint::loopback(harness.port());
+    ASSERT_TRUE(raw.send(daemonAt, wire.data(), wire.size()));
+
+    // The daemon drains its socket in arrival order, so the datagram
+    // above is handled before the client's first one.
+    GatewayClient::Config config;
+    config.server = daemonAt;
+    config.sessionId = 1;
+    GatewayClient client(std::move(config));
+    EXPECT_TRUE(client.set("near", "1", kOpTimeout));
+    EXPECT_EQ(client.get("near", kOpTimeout),
+              std::optional<std::string>("1"));
+
+    harness.stop();
+    const obs::MetricRegistry &metrics = harness.daemon().metrics();
+    EXPECT_EQ(metrics.value("gateway.bridge.sessionOutOfRange"), 1u);
+    EXPECT_EQ(metrics.value("server.updatesApplied"), 1u);
 }
 
 // ------------------------------------------------------------------

@@ -65,10 +65,16 @@ TEST(PmnetHeader, ParseRejectsTruncation)
 
 TEST(PmnetHeader, ParseRejectsUnknownType)
 {
-    Bytes wire(PmnetHeader::kWireSize, 0);
-    wire[0] = 99;
-    ByteReader reader(wire);
-    EXPECT_FALSE(PmnetHeader::parse(reader).has_value());
+    // 10 is a retired type: the device has no handler for it.
+    for (int type : {0, 10, 12, 99}) {
+        Bytes wire(PmnetHeader::kWireSize, 0);
+        wire[0] = static_cast<std::uint8_t>(type);
+        ByteReader reader(wire);
+        EXPECT_FALSE(PmnetHeader::parse(reader).has_value()) << type;
+        PmnetHeader header;
+        EXPECT_FALSE(PmnetHeader::parse(wire.data(), wire.size(), header))
+            << type;
+    }
 }
 
 TEST(PmnetHeader, GoldenWireBytes)

@@ -300,8 +300,7 @@ TEST(TestbedObs, RegistryCoversComponentsAndMatchesAdapters)
         reads_completed += reg.value(client + ".bypassCompleted");
         EXPECT_EQ(bed.driver(i).completedRequests(),
                   reg.value(client + ".updatesCompleted") +
-                      reg.value(client + ".bypassCompleted") +
-                      reg.value(client + ".nearDataCompleted"))
+                      reg.value(client + ".bypassCompleted"))
             << client;
     }
     EXPECT_GT(tapped_updates, 0u);

@@ -139,7 +139,7 @@ TEST_P(LossSweep, AllRequestsCompleteExactlyOnceInOrder)
     stack::ServerLib server_lib(server, heap);
     std::vector<std::string> applied;
     server_lib.setHandler(
-        [&](std::uint16_t, bool, bool, const Bytes &payload) {
+        [&](std::uint16_t, bool, const Bytes &payload) {
             applied.emplace_back(payload.begin(), payload.end());
             return stack::ServerLib::HandlerResult{};
         });

@@ -166,7 +166,7 @@ TEST(Scenario, TransientReorderDoesNotTriggerRetrans)
     server_config.reorderWindow = microseconds(50);
     ServerLib lib(server, heap, server_config);
     std::vector<int> order;
-    lib.setHandler([&](std::uint16_t, bool, bool, const Bytes &payload) {
+    lib.setHandler([&](std::uint16_t, bool, const Bytes &payload) {
         order.push_back(payload[0]);
         return ServerLib::HandlerResult{};
     });
@@ -201,7 +201,7 @@ TEST(Scenario, PersistentGapDoesTriggerRetrans)
     ServerConfig server_config;
     server_config.reorderWindow = microseconds(50);
     ServerLib lib(server, heap, server_config);
-    lib.setHandler([](std::uint16_t, bool, bool, const Bytes &) {
+    lib.setHandler([](std::uint16_t, bool, const Bytes &) {
         return ServerLib::HandlerResult{};
     });
 

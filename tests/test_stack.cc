@@ -53,7 +53,7 @@ struct MiniSystem
         serverLib = std::make_unique<ServerLib>(*server, heap,
                                                 server_config);
         serverLib->setHandler(
-            [this](std::uint16_t session, bool is_update, bool,
+            [this](std::uint16_t session, bool is_update,
                    const Bytes &payload) -> ServerLib::HandlerResult {
                 applied.emplace_back(
                     session, std::string(payload.begin(), payload.end()));
@@ -252,96 +252,6 @@ TEST(ClientServer, CorruptedUpdateDroppedThenRetried)
     EXPECT_EQ(sys.serverLib->appliedSeq(1), 1u);
 }
 
-// ------------------------------------------------- near-data requests
-
-TEST(NearData, CompletesWithResponseAndAck)
-{
-    MiniSystem sys;
-    sys.serverLib->setHandler(
-        [&](std::uint16_t, bool is_update, bool is_near_data,
-            const Bytes &payload) -> ServerLib::HandlerResult {
-            sys.applied.emplace_back(
-                1, std::string(payload.begin(), payload.end()));
-            ServerLib::HandlerResult result;
-            result.cost = microseconds(1);
-            if (!is_update || is_near_data)
-                result.response = Bytes{'4', '2'};
-            return result;
-        });
-
-    std::string response;
-    sys.clientLib->sendNearData(sys.payload("INCR x"),
-                                [&](const Bytes &resp) {
-                                    response = std::string(resp.begin(),
-                                                           resp.end());
-                                });
-    sys.sim.run();
-    EXPECT_EQ(response, "42");
-    EXPECT_EQ(sys.clientStat("nearDataCompleted"), 1u);
-    EXPECT_EQ(sys.serverStat("nearDataApplied"), 1u);
-    ASSERT_EQ(sys.applied.size(), 1u);
-    EXPECT_EQ(sys.applied[0].second, "INCR x");
-    // Near-data requests consume the *update* sequence space and
-    // advance the persisted watermark like any update.
-    EXPECT_EQ(sys.serverLib->appliedSeq(1), 1u);
-}
-
-TEST(NearData, SharesUpdateSequenceSpace)
-{
-    MiniSystem sys;
-    sys.serverLib->setHandler(
-        [&](std::uint16_t, bool is_update, bool is_near_data,
-            const Bytes &payload) -> ServerLib::HandlerResult {
-            sys.applied.emplace_back(
-                1, std::string(payload.begin(), payload.end()));
-            ServerLib::HandlerResult result;
-            result.cost = microseconds(1);
-            if (!is_update || is_near_data)
-                result.response = Bytes{'o', 'k'};
-            return result;
-        });
-
-    sys.clientLib->sendUpdate(sys.payload("u1"), []() {});
-    sys.clientLib->sendNearData(sys.payload("n2"), [](const Bytes &) {});
-    sys.clientLib->sendUpdate(sys.payload("u3"), []() {});
-    sys.sim.run();
-    ASSERT_EQ(sys.applied.size(), 3u);
-    EXPECT_EQ(sys.applied[0].second, "u1");
-    EXPECT_EQ(sys.applied[1].second, "n2");
-    EXPECT_EQ(sys.applied[2].second, "u3");
-    EXPECT_EQ(sys.serverLib->appliedSeq(1), 3u);
-}
-
-TEST(NearData, DuplicateReplaysResponse)
-{
-    MiniSystem sys;
-    sys.serverLib->setHandler(
-        [&](std::uint16_t, bool, bool,
-            const Bytes &) -> ServerLib::HandlerResult {
-            ServerLib::HandlerResult result;
-            result.cost = microseconds(1);
-            result.response = Bytes{'4', '2'};
-            return result;
-        });
-
-    // Lose both the ServerAck and the Response on the way back: the
-    // client's resend is a duplicate below the watermark, and the
-    // make-up ACK alone would leave it waiting for the value.
-    sys.serverLink->dropNext(*sys.server, 2);
-    std::string response;
-    sys.clientLib->sendNearData(sys.payload("INCR x"),
-                                [&](const Bytes &resp) {
-                                    response = std::string(resp.begin(),
-                                                           resp.end());
-                                });
-    sys.sim.run();
-    EXPECT_EQ(response, "42");
-    EXPECT_EQ(sys.serverStat("nearDataApplied"), 1u);
-    EXPECT_EQ(sys.serverStat("makeupAcks"), 1u);
-    EXPECT_EQ(sys.serverStat("replayedReplies"), 1u);
-    EXPECT_EQ(sys.clientStat("nearDataCompleted"), 1u);
-}
-
 // ------------------------------------------------- MTU fragmentation
 
 TEST(Fragmentation, LargeUpdateSplitsAndReassembles)
@@ -505,7 +415,7 @@ TEST(Reorder, DirectInjectionReordersViaSeqNum)
     pm::PmHeap heap(16ull << 20);
     ServerLib lib(server, heap);
     std::vector<std::string> order;
-    lib.setHandler([&](std::uint16_t, bool, bool, const Bytes &payload) {
+    lib.setHandler([&](std::uint16_t, bool, const Bytes &payload) {
         order.emplace_back(payload.begin(), payload.end());
         return ServerLib::HandlerResult{};
     });
@@ -536,7 +446,7 @@ TEST(Reorder, DuplicateWhileQueuedIsDroppedSilently)
     config.dispatchLatency = microseconds(50); // keep it queued
     ServerLib lib(server, heap, config);
     int applied = 0;
-    lib.setHandler([&](std::uint16_t, bool, bool, const Bytes &) {
+    lib.setHandler([&](std::uint16_t, bool, const Bytes &) {
         applied++;
         return ServerLib::HandlerResult{};
     });
@@ -570,7 +480,7 @@ TEST(Workers, CrossSessionParallelSingleSessionSerial)
     config.dispatchLatency = microseconds(10);
     ServerLib lib(server, heap, config);
     std::vector<std::pair<Tick, std::uint16_t>> done_at;
-    lib.setHandler([&](std::uint16_t, bool, bool, const Bytes &) {
+    lib.setHandler([&](std::uint16_t, bool, const Bytes &) {
         return ServerLib::HandlerResult{};
     });
 
@@ -612,7 +522,7 @@ TEST(Workers, BacklogDrains)
     ServerConfig config;
     config.workers = 1;
     ServerLib lib(server, heap, config);
-    lib.setHandler([&](std::uint16_t, bool, bool, const Bytes &) {
+    lib.setHandler([&](std::uint16_t, bool, const Bytes &) {
         return ServerLib::HandlerResult{microseconds(5), std::nullopt};
     });
     for (std::uint32_t q = 1; q <= 10; q++) {
@@ -642,7 +552,7 @@ TEST(ClientServer, UpdateResponseCannotCompleteBypassWithSameSeq)
     MiniSystem sys(server_config);
     // Handler echoes a response for updates too.
     sys.serverLib->setHandler(
-        [&](std::uint16_t, bool is_update, bool,
+        [&](std::uint16_t, bool is_update,
             const Bytes &payload) -> ServerLib::HandlerResult {
             sys.applied.emplace_back(
                 0, std::string(payload.begin(), payload.end()));
